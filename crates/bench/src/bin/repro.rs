@@ -7,7 +7,7 @@
 //! cargo run -p citesys-bench --release --bin repro -- e4 e5   # selected ids
 //! ```
 
-use citesys_bench::Table;
+use citesys_bench::EXPERIMENTS;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -18,36 +18,21 @@ fn main() {
         .map(|a| a.to_lowercase())
         .collect();
 
-    let run_one = |id: &str| -> Option<Table> {
-        match id {
-            "e1" => Some(citesys_bench::e1::table()),
-            "e2" => Some(citesys_bench::e2::table(quick)),
-            "e3" => Some(citesys_bench::e3::table(quick)),
-            "e4" => Some(citesys_bench::e4::table(quick)),
-            "e5" => Some(citesys_bench::e5::table(quick)),
-            "e6" => Some(citesys_bench::e6::table(quick)),
-            "e7" => Some(citesys_bench::e7::table(quick)),
-            "e8" => Some(citesys_bench::e8::table()),
-            "e9" => Some(citesys_bench::e9::table(quick)),
-            "e10" => Some(citesys_bench::e10::table(quick)),
-            "e11" => Some(citesys_bench::e11::table(quick)),
-            "e12" => Some(citesys_bench::e12::table(quick)),
-            "e13" => Some(citesys_bench::e13::table(quick)),
-            "e14" => Some(citesys_bench::e14::table(quick)),
-            "e15" => Some(citesys_bench::e15::table(quick)),
-            "e16" => Some(citesys_bench::e16::table(quick)),
-            "e17" => Some(citesys_bench::e17::table(quick)),
-            "e18" => Some(citesys_bench::e18::table(quick)),
-            "e19" => Some(citesys_bench::e19::table(quick)),
-            "e20" => Some(citesys_bench::e20::table(quick)),
-            "e21" => Some(citesys_bench::e21::table(quick)),
-            "e22" => Some(citesys_bench::e22::table(quick)),
-            other => {
-                eprintln!("unknown experiment id: {other}");
-                None
+    // Resolve every id before running anything: a typo fails the run
+    // up front instead of after minutes of earlier experiments.
+    let mut chosen = Vec::new();
+    for id in &selected {
+        match EXPERIMENTS.iter().find(|(name, _)| name == id) {
+            Some(entry) => chosen.push(*entry),
+            None => {
+                eprintln!("unknown experiment id: {id}");
+                std::process::exit(2);
             }
         }
-    };
+    }
+    if chosen.is_empty() {
+        chosen.extend_from_slice(EXPERIMENTS);
+    }
 
     println!("# citesys experiment reproduction\n");
     println!(
@@ -59,16 +44,7 @@ fn main() {
             selected.join(", ")
         }
     );
-
-    if selected.is_empty() {
-        for t in citesys_bench::run_all(quick) {
-            println!("{t}");
-        }
-    } else {
-        for id in &selected {
-            if let Some(t) = run_one(id) {
-                println!("{t}");
-            }
-        }
+    for (_, table) in chosen {
+        println!("{}", table(quick));
     }
 }

@@ -15,8 +15,6 @@
 //!   both plans and materializations warm across every update.
 //!
 //! The table reports total throughput and the speedup over one thread.
-//! The companion criterion bench (`benches/e14_concurrent_service.rs`)
-//! times the same shapes.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;

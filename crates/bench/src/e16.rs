@@ -21,7 +21,6 @@ use std::time::Duration;
 
 use citesys_net::client::Connection;
 use citesys_net::protocol::Response;
-use citesys_net::script::StoreStats;
 use citesys_net::server::{Server, ServerConfig};
 
 use crate::table::{ms, timed, Table};
@@ -124,6 +123,19 @@ pub fn concurrent_net_cites(addr: &str, clients: usize, rounds: usize, families:
     })
 }
 
+/// The server's write-path counters moved by one [`commit_storm`].
+#[derive(Clone, Copy, Debug)]
+pub struct StormCounters {
+    /// Commit requests acknowledged during the storm.
+    pub commits: u64,
+    /// Service snapshot publications during the storm.
+    pub snapshot_swaps: u64,
+    /// Group-commit windows processed during the storm.
+    pub group_windows: u64,
+    /// Largest number of transactions one window has merged so far.
+    pub largest_group: u64,
+}
+
 /// N client threads each running `rounds` begin…commit transactions on
 /// disjoint keys, with a barrier before every `commit` so the
 /// transactions race into the same commit window. Returns the server
@@ -133,8 +145,13 @@ pub fn commit_storm(
     addr: &str,
     clients: usize,
     rounds: usize,
-) -> (StoreStats, Duration) {
-    let base = server.stats();
+) -> (StormCounters, Duration) {
+    let obs = server.shared().lock().obs().clone();
+    let base = (
+        obs.commits.get(),
+        obs.snapshot_swaps.get(),
+        obs.group_windows.get(),
+    );
     let barrier = Arc::new(Barrier::new(clients));
     let (_, wall) = timed(|| {
         std::thread::scope(|scope| {
@@ -157,15 +174,12 @@ pub fn commit_storm(
             }
         })
     });
-    let after = server.stats();
     (
-        StoreStats {
-            commits: after.commits - base.commits,
-            snapshot_swaps: after.snapshot_swaps - base.snapshot_swaps,
-            group_windows: after.group_windows - base.group_windows,
-            largest_group: after.largest_group,
-            service_builds: after.service_builds - base.service_builds,
-            ..StoreStats::default()
+        StormCounters {
+            commits: obs.commits.get() - base.0,
+            snapshot_swaps: obs.snapshot_swaps.get() - base.1,
+            group_windows: obs.group_windows.get() - base.2,
+            largest_group: obs.largest_group.get(),
         },
         wall,
     )

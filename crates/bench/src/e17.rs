@@ -151,7 +151,7 @@ pub fn table(quick: bool) -> Table {
     ]);
     let (mut durable, dir) = durable_interp(families, "throughput");
     let wall = commit_stream(&mut durable, commits, 0);
-    let wal_records = durable.store_stats().commits; // one record per commit
+    let wal_records = durable.shared().lock().obs().commits.get(); // one record per commit
     rows.push(vec![
         format!("{commits} commits, wal on (fsync before ack)"),
         ms(wall),

@@ -21,6 +21,7 @@
 //! | E12 | Reactome pathway domain | [`e12`] |
 //! | E13 | §3 amortized prepared citation | [`e13`] |
 //! | E14 | §3 concurrent service throughput | [`e14`] |
+//! | E15 | §3 live updates: batch delta maintenance, snapshot reads | [`e15`] |
 //! | E16 | citation as an always-on network service | [`e16`] |
 //! | E17 | durable, restartable citation store | [`e17`] |
 //! | E18 | replication: read scale-out and bounded lag | [`e18`] |
@@ -30,7 +31,8 @@
 //! | E22 | streaming bulk ingestion: batch size vs throughput/memory | [`e22`] |
 //!
 //! Run `cargo run -p citesys-bench --release --bin repro` to print every
-//! table; Criterion benches under `benches/` time the same operations.
+//! table. Performance numbers live in the repository's `benchmark/`
+//! directory; these tables reproduce the paper's concerns.
 
 pub mod table;
 
@@ -59,30 +61,38 @@ pub mod e9;
 
 pub use table::Table;
 
+/// One experiment: lower-case id and the function that builds its table
+/// (`quick` shrinks the sweeps).
+pub type Experiment = (&'static str, fn(bool) -> Table);
+
+/// Every experiment, in order — the one list `run_all` and the `repro`
+/// binary both iterate.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("e1", |_| e1::table()),
+    ("e2", e2::table),
+    ("e3", e3::table),
+    ("e4", e4::table),
+    ("e5", e5::table),
+    ("e6", e6::table),
+    ("e7", e7::table),
+    ("e8", |_| e8::table()),
+    ("e9", e9::table),
+    ("e10", e10::table),
+    ("e11", e11::table),
+    ("e12", e12::table),
+    ("e13", e13::table),
+    ("e14", e14::table),
+    ("e15", e15::table),
+    ("e16", e16::table),
+    ("e17", e17::table),
+    ("e18", e18::table),
+    ("e19", e19::table),
+    ("e20", e20::table),
+    ("e21", e21::table),
+    ("e22", e22::table),
+];
+
 /// Runs every experiment in order, returning the rendered tables.
 pub fn run_all(quick: bool) -> Vec<Table> {
-    vec![
-        e1::table(),
-        e2::table(quick),
-        e3::table(quick),
-        e4::table(quick),
-        e5::table(quick),
-        e6::table(quick),
-        e7::table(quick),
-        e8::table(),
-        e9::table(quick),
-        e10::table(quick),
-        e11::table(quick),
-        e12::table(quick),
-        e13::table(quick),
-        e14::table(quick),
-        e15::table(quick),
-        e16::table(quick),
-        e17::table(quick),
-        e18::table(quick),
-        e19::table(quick),
-        e20::table(quick),
-        e21::table(quick),
-        e22::table(quick),
-    ]
+    EXPERIMENTS.iter().map(|(_, table)| table(quick)).collect()
 }

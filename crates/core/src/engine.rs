@@ -18,10 +18,10 @@
 //! baseline), `CostPruned` selects the cheapest rewriting by a schema-level
 //! size estimate *before* touching the data.
 //!
-//! The preferred entry point is the owned, thread-safe
+//! The entry point is the owned, thread-safe
 //! [`CitationService`](crate::service::CitationService), which caches
-//! rewrite plans across calls. The borrowing [`CitationEngine`] remains as
-//! a deprecated shim over the same pipeline.
+//! rewrite plans and materialized views across calls over the free
+//! functions in this module.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -138,8 +138,8 @@ pub struct CitedAnswer {
 }
 
 // ---------------------------------------------------------------------------
-// The shared pipeline: free functions over borrowed state, used by both the
-// owned `CitationService` and the deprecated borrowing `CitationEngine`.
+// The pipeline: free functions over borrowed state, which the owned
+// `CitationService` layers its caches over.
 // ---------------------------------------------------------------------------
 
 /// Runs the rewriting search for `q` (with the contained-rewriting
@@ -237,7 +237,7 @@ pub(crate) fn materialize_views_into(
 /// the policies and render snippets. `stats` is embedded verbatim in the
 /// result (the caller decides whether it reflects a fresh search or a plan
 /// cache hit).
-#[allow(clippy::too_many_arguments)] // internal seam between engine/service
+#[allow(clippy::too_many_arguments)] // internal seam between pipeline/service
 pub(crate) fn cite_selected(
     db: &Database,
     registry: &CitationRegistry,
@@ -370,8 +370,9 @@ pub(crate) fn cite_selected(
 }
 
 /// One-shot pipeline over borrowed state: plan, select, materialize into a
-/// fresh scratch database, annotate. The service layers caching over the
-/// same pieces.
+/// fresh scratch database, annotate — the uncached reference the service's
+/// tests compare the cached path against.
+#[cfg(test)]
 pub(crate) fn cite_uncached(
     db: &Database,
     registry: &CitationRegistry,
@@ -551,83 +552,12 @@ fn type_of_var(db: &Database, view: &ConjunctiveQuery, v: &Symbol) -> Result<Val
     })
 }
 
-// ---------------------------------------------------------------------------
-// The deprecated borrowing shim.
-// ---------------------------------------------------------------------------
-
-/// The original borrowing citation engine, kept as a thin shim over the
-/// shared pipeline.
-///
-/// Prefer [`CitationService`](crate::service::CitationService): it owns its
-/// database and registry behind `Arc`s, is `Send + Sync`, caches rewrite
-/// plans across calls (`prepare`), and batches (`cite_batch`). See
-/// `MIGRATION.md` at the repository root for a mapping.
-#[deprecated(
-    since = "0.2.0",
-    note = "use CitationService::builder() — owned, thread-safe, and amortizes \
-            the rewriting search across calls (see MIGRATION.md)"
-)]
-#[derive(Clone, Copy, Debug)]
-pub struct CitationEngine<'a> {
-    db: &'a Database,
-    registry: &'a CitationRegistry,
-    options: EngineOptions,
-}
-
-#[allow(deprecated)]
-impl<'a> CitationEngine<'a> {
-    /// Creates an engine over a database and a citation-view registry.
-    pub fn new(db: &'a Database, registry: &'a CitationRegistry, options: EngineOptions) -> Self {
-        CitationEngine {
-            db,
-            registry,
-            options,
-        }
-    }
-
-    /// Read access to the options.
-    pub fn options(&self) -> &EngineOptions {
-        &self.options
-    }
-
-    /// Computes the citation for a general query (the paper's central
-    /// operation).
-    ///
-    /// ```
-    /// use citesys_core::paper;
-    /// # #[allow(deprecated)]
-    /// use citesys_core::{CitationEngine, CitationMode, EngineOptions};
-    ///
-    /// let db = paper::paper_database();
-    /// let registry = paper::paper_registry();
-    /// # #[allow(deprecated)]
-    /// let engine = CitationEngine::new(&db, &registry, EngineOptions {
-    ///     mode: CitationMode::Formal, ..Default::default()
-    /// });
-    /// let cited = engine.cite(&paper::paper_query()).unwrap();
-    /// // Two rewritings (the paper's Q1, Q2), min-size picks CV2·CV3.
-    /// assert_eq!(cited.rewritings.len(), 2);
-    /// let atoms: Vec<String> =
-    ///     cited.tuples[0].atoms.iter().map(ToString::to_string).collect();
-    /// assert_eq!(atoms, ["CV2", "CV3"]);
-    /// ```
-    pub fn cite(&self, q: &ConjunctiveQuery) -> Result<CitedAnswer, CiteError> {
-        cite_uncached(self.db, self.registry, &self.options, q)
-    }
-
-    /// Schema-level citation-size estimate of a rewriting (see the
-    /// pipeline documentation).
-    pub fn schema_estimate(&self, rewriting: &ConjunctiveQuery) -> usize {
-        schema_estimate(self.db, self.registry, rewriting)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::paper;
     use crate::policy::RewritePolicy;
+    use crate::service::CitationService;
     use citesys_cq::parse_query;
     use citesys_storage::tuple;
 
@@ -635,10 +565,23 @@ mod tests {
         (paper::paper_database(), paper::paper_registry())
     }
 
+    fn service_over(
+        db: &Database,
+        registry: &CitationRegistry,
+        options: EngineOptions,
+    ) -> CitationService {
+        CitationService::builder()
+            .database(db.clone())
+            .registry(registry.clone())
+            .options(options)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn paper_example_formal_mode() {
         let (db, reg) = engine_fixture();
-        let engine = CitationEngine::new(
+        let service = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -648,7 +591,7 @@ mod tests {
         );
         let q =
             parse_query("Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)").unwrap();
-        let cited = engine.cite(&q).unwrap();
+        let cited = service.cite(&q).unwrap();
 
         // One output tuple: (Calcitonin).
         assert_eq!(cited.answer.len(), 1);
@@ -686,7 +629,7 @@ mod tests {
     #[test]
     fn paper_example_union_policy_keeps_committee() {
         let (db, reg) = engine_fixture();
-        let engine = CitationEngine::new(
+        let service = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -700,7 +643,7 @@ mod tests {
         );
         let q =
             parse_query("Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)").unwrap();
-        let cited = engine.cite(&q).unwrap();
+        let cited = service.cite(&q).unwrap();
         // Union keeps CV1(11), CV1(12), CV2, CV3.
         assert_eq!(cited.tuples[0].atoms.len(), 4);
         // The parameterized snippets carry the committee names.
@@ -717,7 +660,7 @@ mod tests {
     #[test]
     fn cost_pruned_mode_evaluates_one_rewriting() {
         let (db, reg) = engine_fixture();
-        let engine = CitationEngine::new(
+        let service = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -727,7 +670,7 @@ mod tests {
         );
         let q =
             parse_query("Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)").unwrap();
-        let cited = engine.cite(&q).unwrap();
+        let cited = service.cite(&q).unwrap();
         assert_eq!(cited.rewritings.len(), 1);
         // The schema estimate prefers the unparameterized V2 branch.
         let atoms: Vec<String> = cited.tuples[0]
@@ -743,7 +686,7 @@ mod tests {
         let (db, reg) = engine_fixture();
         let q =
             parse_query("Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)").unwrap();
-        let formal = CitationEngine::new(
+        let formal = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -753,7 +696,7 @@ mod tests {
         )
         .cite(&q)
         .unwrap();
-        let pruned = CitationEngine::new(
+        let pruned = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -769,18 +712,18 @@ mod tests {
     #[test]
     fn uncoverable_query_reports_no_rewriting() {
         let (db, reg) = engine_fixture();
-        let engine = CitationEngine::new(&db, &reg, EngineOptions::default());
+        let service = service_over(&db, &reg, EngineOptions::default());
         let q = parse_query("Q(P) :- Committee(F, P)").unwrap();
-        let e = engine.cite(&q).unwrap_err();
+        let e = service.cite(&q).unwrap_err();
         assert!(matches!(e, CiteError::NoRewriting { .. }));
     }
 
     #[test]
     fn empty_answer_still_cites() {
         let (db, reg) = engine_fixture();
-        let engine = CitationEngine::new(&db, &reg, EngineOptions::default());
+        let service = service_over(&db, &reg, EngineOptions::default());
         let q = parse_query("Q(N) :- Family(99, N, D), FamilyIntro(99, T)").unwrap();
-        let cited = engine.cite(&q).unwrap();
+        let cited = service.cite(&q).unwrap();
         assert!(cited.answer.is_empty());
         assert!(cited.tuples.is_empty());
         let agg = cited.aggregate.unwrap();
@@ -790,7 +733,7 @@ mod tests {
     #[test]
     fn join_policy_merges_snippets() {
         let (db, reg) = engine_fixture();
-        let engine = CitationEngine::new(
+        let service = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -804,14 +747,14 @@ mod tests {
         );
         let q =
             parse_query("Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)").unwrap();
-        let cited = engine.cite(&q).unwrap();
+        let cited = service.cite(&q).unwrap();
         assert_eq!(cited.tuples[0].snippets.len(), 1, "joined into one snippet");
     }
 
     #[test]
     fn per_tuple_only_agg() {
         let (db, reg) = engine_fixture();
-        let engine = CitationEngine::new(
+        let service = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -824,7 +767,7 @@ mod tests {
         );
         let q =
             parse_query("Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)").unwrap();
-        let cited = engine.cite(&q).unwrap();
+        let cited = service.cite(&q).unwrap();
         assert!(cited.aggregate.is_none());
         assert!(!cited.tuples.is_empty());
     }
@@ -855,7 +798,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let engine = CitationEngine::new(
+        let service = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -864,7 +807,7 @@ mod tests {
             },
         );
         let q = parse_query("Q(A, C) :- E(A, B), E(B, C)").unwrap();
-        let cited = engine.cite(&q).unwrap();
+        let cited = service.cite(&q).unwrap();
         assert_eq!(cited.answer.len(), 1);
         let t = &cited.tuples[0];
         assert_eq!(t.tuple, tuple![1, 3]);
@@ -899,7 +842,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let engine = CitationEngine::new(
+        let service = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -908,7 +851,7 @@ mod tests {
             },
         );
         let q = parse_query("Q(P) :- Committee(11, P)").unwrap();
-        let cited = engine.cite(&q).unwrap();
+        let cited = service.cite(&q).unwrap();
         assert_eq!(cited.answer.len(), 2); // Alice, Bob
         for t in &cited.tuples {
             assert_eq!(t.atoms.len(), 1);
@@ -929,7 +872,7 @@ mod tests {
     fn query_with_constant_cites_pinned_view() {
         // Constants in the query flow into the rewriting and parameters.
         let (db, reg) = engine_fixture();
-        let engine = CitationEngine::new(
+        let service = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -938,7 +881,7 @@ mod tests {
             },
         );
         let q = parse_query("Q(N) :- Family(11, N, D), FamilyIntro(11, T)").unwrap();
-        let cited = engine.cite(&q).unwrap();
+        let cited = service.cite(&q).unwrap();
         assert_eq!(cited.answer.len(), 1);
         let expr = cited.tuples[0].expr().to_string();
         assert!(expr.contains("CV1(11)"), "pinned parameter: {expr}");
@@ -969,13 +912,13 @@ mod tests {
 
         // Q = all family names. Dopamine (no intro) cannot be cited.
         let q = parse_query("Q(FName) :- Family(FID, FName, D)").unwrap();
-        let strict = CitationEngine::new(&db, &reg, EngineOptions::default());
+        let strict = service_over(&db, &reg, EngineOptions::default());
         assert!(matches!(
             strict.cite(&q),
             Err(CiteError::NoRewriting { .. })
         ));
 
-        let lenient = CitationEngine::new(
+        let lenient = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -1003,7 +946,7 @@ mod tests {
     #[test]
     fn full_coverage_reported_when_equivalent() {
         let (db, reg) = engine_fixture();
-        let engine = CitationEngine::new(
+        let service = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -1011,14 +954,14 @@ mod tests {
                 ..Default::default()
             },
         );
-        let cited = engine.cite(&paper::paper_query()).unwrap();
+        let cited = service.cite(&paper::paper_query()).unwrap();
         assert_eq!(cited.coverage, Coverage::Full);
     }
 
     #[test]
     fn parameterized_identity_query_cites_per_family() {
         let (db, reg) = engine_fixture();
-        let engine = CitationEngine::new(
+        let service = service_over(
             &db,
             &reg,
             EngineOptions {
@@ -1028,7 +971,7 @@ mod tests {
         );
         // Q = all families: rewritable via V1 (param) or V2 (constant).
         let q = parse_query("Q(FID, FName, Desc) :- Family(FID, FName, Desc)").unwrap();
-        let cited = engine.cite(&q).unwrap();
+        let cited = service.cite(&q).unwrap();
         assert_eq!(cited.answer.len(), 3);
         // Min-size picks V2 (one citation) over V1 (three).
         for t in &cited.tuples {

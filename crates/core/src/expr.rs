@@ -18,13 +18,11 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use citesys_cq::{Symbol, Value};
 
 /// A citation atom `CV(p1, …, pn)`: a view's citation instantiated at
 /// specific parameter values (empty for unparameterized views).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CiteAtom {
     /// The view whose citation this is.
     pub view: Symbol,
@@ -60,7 +58,7 @@ impl fmt::Display for CiteAtom {
 }
 
 /// A symbolic citation expression.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum CiteExpr {
     /// A view citation instance.
     Atom(CiteAtom),
@@ -364,14 +362,5 @@ mod tests {
     fn multi_param_atom_displays() {
         let a = CiteAtom::new("V", vec![Value::Int(1), Value::text("x")]);
         assert_eq!(a.to_string(), "CV(1, x)");
-    }
-
-    #[test]
-    fn serde_round_trip_shape() {
-        // The expression model derives Serialize/Deserialize; check the
-        // derived traits exist and equality survives a clone.
-        let e = paper_expr();
-        let e2 = e.clone();
-        assert_eq!(e, e2);
     }
 }

@@ -17,9 +17,7 @@
 //!   formal-semantics mode and a cost-pruned mode (§3), prepared queries,
 //!   a sharded LRU plan cache keyed modulo λ-parameter constants (with
 //!   text persistence), a delta-maintained materialized-view cache
-//!   ([`viewcache`]), and batch citation. (The borrowing
-//!   [`CitationEngine`] shim remains for source compatibility; see
-//!   `MIGRATION.md`.)
+//!   ([`viewcache`]), and batch citation.
 //! * **Rendering** ([`mod@format`]): text, BibTeX, RIS, XML, JSON.
 //! * **Fixity** ([`fixity`]): versioned citations with SHA-256 digests,
 //!   dereference and verification.
@@ -83,8 +81,6 @@ pub use durable::{
     rebuild_from_checkpoint, DurableHandle, RecoveredService, SECTION_DATABASE, SECTION_PLANS,
     SECTION_REGISTRY, SECTION_VIEWS,
 };
-#[allow(deprecated)]
-pub use engine::CitationEngine;
 pub use engine::{
     AggregateCitation, CitationMode, CitedAnswer, Coverage, EngineOptions, TupleCitation,
 };

@@ -368,8 +368,8 @@ impl PlanCache {
     }
 
     /// Serializes every cached plan to a line-oriented text form that
-    /// [`load_text`](Self::load_text) reads back — the persistence format
-    /// behind `citesys serve --plan-cache` and `citesys plans export`.
+    /// [`load_text`](Self::load_text) reads back — the checkpoint's plan
+    /// section (`SECTION_PLANS`).
     ///
     /// The format stores `(signature, constants, plan)` triples; shard
     /// assignment and LRU/counter state are in-process properties and are
@@ -1179,9 +1179,28 @@ impl CitationService {
         )
     }
 
-    /// Computes the citation for `q`, reusing a cached plan when one
-    /// matches the query's signature (exactly, or modulo λ-parameter
-    /// constants when the registry permits).
+    /// Computes the citation for `q` (the paper's central operation),
+    /// reusing a cached plan when one matches the query's signature
+    /// (exactly, or modulo λ-parameter constants when the registry
+    /// permits).
+    ///
+    /// ```
+    /// use citesys_core::paper;
+    /// use citesys_core::{CitationMode, CitationService};
+    ///
+    /// let service = CitationService::builder()
+    ///     .database(paper::paper_database())
+    ///     .registry(paper::paper_registry())
+    ///     .mode(CitationMode::Formal)
+    ///     .build()
+    ///     .unwrap();
+    /// let cited = service.cite(&paper::paper_query()).unwrap();
+    /// // Two rewritings (the paper's Q1, Q2), min-size picks CV2·CV3.
+    /// assert_eq!(cited.rewritings.len(), 2);
+    /// let atoms: Vec<String> =
+    ///     cited.tuples[0].atoms.iter().map(ToString::to_string).collect();
+    /// assert_eq!(atoms, ["CV2", "CV3"]);
+    /// ```
     pub fn cite(&self, q: &ConjunctiveQuery) -> Result<CitedAnswer, CiteError> {
         self.cite_spanned(q, &mut SpanSet::disabled())
     }
@@ -1338,16 +1357,15 @@ mod tests {
 
     #[test]
     fn service_matches_engine_results() {
-        #[allow(deprecated)]
-        let expected = crate::engine::CitationEngine::new(
+        let expected = crate::engine::cite_uncached(
             &paper::paper_database(),
             &paper::paper_registry(),
-            EngineOptions {
+            &EngineOptions {
                 mode: CitationMode::Formal,
                 ..Default::default()
             },
+            &paper::paper_query(),
         )
-        .cite(&paper::paper_query())
         .unwrap();
         let svc = service(CitationMode::Formal);
         let got = svc.cite(&paper::paper_query()).unwrap();

@@ -8,15 +8,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use citesys_cq::{ConjunctiveQuery, Symbol, Term, Value};
 use citesys_storage::QueryAnswer;
 
 /// The structured output of a citation function: named fields with one or
 /// more values each (e.g. `committee -> [Alice, Bob]`), tagged with the
 /// view and parameter values it was generated for.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct CitationSnippet {
     /// View that produced this snippet.
     pub view: Symbol,

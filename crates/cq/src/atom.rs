@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::symbol::Symbol;
 use crate::term::{Substitution, Term};
 
 /// A relational atom `P(t1, …, tk)`.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Atom {
     /// Predicate (relation or view) name.
     pub predicate: Symbol,
@@ -74,7 +72,7 @@ impl fmt::Debug for Atom {
 /// Equalities are eliminated during [`crate::query::ConjunctiveQuery`]
 /// normalization (variables are substituted away), so downstream algorithms
 /// only ever see relational atoms.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Literal {
     /// A relational atom.
     Atom(Atom),

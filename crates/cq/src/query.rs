@@ -8,8 +8,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::atom::{Atom, Literal};
 use crate::error::CqError;
 use crate::symbol::Symbol;
@@ -22,7 +20,7 @@ use crate::value::Value;
 /// relational atoms (equalities from the surface syntax have been
 /// substituted away by [`ConjunctiveQuery::normalized`]); `params` are the
 /// λ-variables, each of which must occur in the head.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ConjunctiveQuery {
     /// Head atom: output predicate name and output terms.
     pub head: Atom,

@@ -10,9 +10,6 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::de::{Deserialize, Deserializer};
-use serde::ser::{Serialize, Serializer};
-
 /// An immutable, cheaply clonable name (predicate, variable, or attribute).
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(Arc<str>);
@@ -79,19 +76,6 @@ impl PartialEq<str> for Symbol {
 impl PartialEq<&str> for Symbol {
     fn eq(&self, other: &&str) -> bool {
         self.as_str() == *other
-    }
-}
-
-impl Serialize for Symbol {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(self.as_str())
-    }
-}
-
-impl<'de> Deserialize<'de> for Symbol {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        Ok(Symbol::from(s))
     }
 }
 

@@ -3,13 +3,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::symbol::Symbol;
 use crate::value::Value;
 
 /// A term in a query atom: either a variable or a constant.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Term {
     /// A named variable, e.g. `FID`.
     Var(Symbol),

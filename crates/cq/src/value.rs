@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::symbol::Symbol;
 
 /// A constant database value.
@@ -12,7 +10,7 @@ use crate::symbol::Symbol;
 /// (integers), names and free text. `Text` uses [`Symbol`] (an `Arc<str>`)
 /// so values clone cheaply during join processing and annotation
 /// propagation.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// 64-bit signed integer (identifiers, versions, timestamps).
     Int(i64),
@@ -118,7 +116,7 @@ impl From<bool> for Value {
 }
 
 /// The type of a [`Value`], used by relation schemas.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ValueType {
     /// 64-bit signed integer.
     Int,

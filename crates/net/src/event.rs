@@ -55,7 +55,6 @@ use parking_lot::Mutex;
 use polling::{Event, Poller};
 
 use crate::group::{CommitTicket, GroupCommitHandle};
-use crate::persist::PlanSaver;
 use crate::protocol::{self, Command, LineRead, LineReader, Response, WireErrorKind};
 use crate::script::{commit_ack_message, Interpreter, SessionControl, SharedStore};
 use crate::server::wire_kind;
@@ -93,7 +92,6 @@ pub(crate) struct EventCtx {
     pub(crate) shared: Arc<Mutex<SharedStore>>,
     pub(crate) committer: GroupCommitHandle,
     pub(crate) shutdown: Arc<AtomicBool>,
-    pub(crate) saver: Option<Arc<PlanSaver>>,
     pub(crate) idle_timeout: Duration,
     pub(crate) max_line_bytes: usize,
     pub(crate) max_connections: usize,
@@ -486,7 +484,6 @@ fn exec_pending(ctx: &EventCtx, conn: &mut Conn) {
         match conn.pending.pop_front().expect("checked front") {
             PendingItem::ParseErr { tag, message } => {
                 push_err(conn, tag.as_deref(), WireErrorKind::Parse, &message);
-                saver_tick(ctx);
             }
             PendingItem::Oversized => {
                 ctx.obs.disconnects_oversized.inc();
@@ -512,9 +509,7 @@ fn exec_pending(ctx: &EventCtx, conn: &mut Conn) {
                     }
                     continue;
                 }
-                let result = conn.interp.run_session_command(cmd.as_ref());
-                saver_tick(ctx);
-                match result {
+                match conn.interp.run_session_command(cmd.as_ref()) {
                     Ok(reply) => match reply.control {
                         SessionControl::Continue => push_response(
                             conn,
@@ -539,15 +534,6 @@ fn exec_pending(ctx: &EventCtx, conn: &mut Conn) {
                 }
             }
         }
-    }
-}
-
-/// Mirrors the blocking transport: plan-cache changes persist before
-/// the command's ack reaches the client (commits excluded — their save
-/// runs once per window on the committer thread).
-fn saver_tick(ctx: &EventCtx) {
-    if let Some(saver) = &ctx.saver {
-        let _ = saver.maybe_save(&ctx.shared);
     }
 }
 

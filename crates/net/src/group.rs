@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 use citesys_storage::Changeset;
 use parking_lot::Mutex;
 
-use crate::persist::PlanSaver;
 use crate::script::SharedStore;
 
 /// A successful commit acknowledgement.
@@ -117,19 +116,6 @@ impl GroupCommitter {
     /// — `Duration::ZERO` degrades to per-transaction commits (each
     /// request usually gets its own window), which is the E16 baseline.
     pub fn spawn(shared: Arc<Mutex<SharedStore>>, window: Duration) -> GroupCommitter {
-        Self::spawn_with_saver(shared, window, None)
-    }
-
-    /// [`spawn`](Self::spawn) with a plan saver attached: the committer
-    /// runs one `maybe_save` per **window**, after sealing and before
-    /// acking — however many transactions the window merged, the plan
-    /// file is checked (and at most written) once, instead of once per
-    /// session command as the pre-coalescing server did.
-    pub fn spawn_with_saver(
-        shared: Arc<Mutex<SharedStore>>,
-        window: Duration,
-        saver: Option<Arc<PlanSaver>>,
-    ) -> GroupCommitter {
         let (tx, rx) = mpsc::channel::<Msg>();
         let thread = std::thread::Builder::new()
             .name("citesys-group-commit".into())
@@ -167,7 +153,7 @@ impl GroupCommitter {
                             Err(_) => break,
                         }
                     }
-                    Self::process(&shared, &saver, batch);
+                    Self::process(&shared, batch);
                 }
             })
             .expect("spawn group-commit thread");
@@ -184,13 +170,9 @@ impl GroupCommitter {
 
     /// One commit window: apply each transaction atomically in arrival
     /// order, seal every success as one version (WAL-logged before the
-    /// seal when the store is durable), run at most one plan-cache
-    /// save, publish one service snapshot, ack each session.
-    fn process(
-        shared: &Mutex<SharedStore>,
-        saver: &Option<Arc<PlanSaver>>,
-        batch: Vec<CommitRequest>,
-    ) {
+    /// seal when the store is durable), publish one service snapshot,
+    /// ack each session.
+    fn process(shared: &Mutex<SharedStore>, batch: Vec<CommitRequest>) {
         let group_size = batch.len();
         let mut sh = shared.lock();
         let obs = sh.obs().clone();
@@ -216,14 +198,9 @@ impl GroupCommitter {
         } else {
             None
         };
-        // One plan-cache save per window, before any ack — durability
-        // first, and the whole window shares the write. The acks below
-        // only touch the lock-free instruments, so the store lock is
-        // released for good here.
+        // The acks below only touch the lock-free instruments, so the
+        // store lock is released for good here.
         drop(sh);
-        if let Some(saver) = saver {
-            let _ = saver.maybe_save(shared);
-        }
         for (req, outcome) in batch.into_iter().zip(outcomes) {
             let reply = match (outcome, version) {
                 (Ok(applied), Some(version)) => {
@@ -294,10 +271,10 @@ mod tests {
         });
         // All four transactions landed, and at least two shared a window
         // (with a 100ms window and a barrier start, usually all four).
-        let stats = shared.lock().stats();
-        assert_eq!(stats.commits, 5, "4 racing + 1 setup: {stats:?}");
-        assert!(stats.largest_group >= 2, "{stats:?}");
-        assert!(stats.group_windows < 5, "windows must coalesce: {stats:?}");
+        let obs = shared.lock().obs().clone();
+        assert_eq!(obs.commits.get(), 5, "4 racing + 1 setup");
+        assert!(obs.largest_group.get() >= 2);
+        assert!(obs.group_windows.get() < 5, "windows must coalesce");
         let versions: std::collections::BTreeSet<u64> = acks.iter().map(|a| a.version).collect();
         assert!(
             versions.len() < 4,
@@ -334,79 +311,6 @@ mod tests {
         assert!(out.contains("1,\"a\""), "{out}");
         assert!(!out.contains("\"b\""), "{out}");
         assert!(out.contains("2,\"c\""), "{out}");
-    }
-
-    #[test]
-    fn plan_saves_coalesce_to_one_per_window() {
-        // The pre-coalescing server ran maybe_save after EVERY session
-        // command — inside a commit window, one check (and potentially
-        // one write) per racing session. The committer now piggybacks a
-        // single save on the window flush: however many transactions
-        // race, the plan file is written at most once per window.
-        let dir = std::env::temp_dir().join("citesys-group-saver-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("coalesced-{}.plans", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let saver = Arc::new(PlanSaver::new(&path));
-
-        let shared = SharedStore::new_shared();
-        let mut admin = Interpreter::session(Arc::clone(&shared), None);
-        admin.run_line("schema R(A:int, B:text) key(0)").unwrap();
-        admin
-            .run_line("view V(A, B) :- R(A, B) | cite CV(D) :- D = 'x'")
-            .unwrap();
-        admin.run_line("commit").unwrap();
-        admin.run_line("cite Q(A) :- R(A, B)").unwrap();
-        // Plan state is dirty (a view registration + a fresh search),
-        // and nothing has saved it yet.
-        assert_eq!(saver.save_count(), 0);
-
-        let committer = GroupCommitter::spawn_with_saver(
-            Arc::clone(&shared),
-            Duration::from_millis(100),
-            Some(Arc::clone(&saver)),
-        );
-        let handle = committer.handle();
-        let barrier = Arc::new(std::sync::Barrier::new(4));
-        std::thread::scope(|scope| {
-            for i in 0..4 {
-                let handle = handle.clone();
-                let barrier = Arc::clone(&barrier);
-                scope.spawn(move || {
-                    let mut changes = Changeset::new();
-                    changes.insert("R", citesys_storage::tuple![10 + i as i64, "t"]);
-                    barrier.wait();
-                    handle.commit(changes).unwrap();
-                });
-            }
-        });
-        let stats = shared.lock().stats();
-        assert!(stats.largest_group >= 2, "commits must race: {stats:?}");
-        assert_eq!(
-            saver.save_count(),
-            1,
-            "one write for the whole window, not one per commit"
-        );
-        assert!(std::fs::read_to_string(&path)
-            .unwrap()
-            .starts_with("citesys-plan-cache v1"));
-        // A second storm with no plan-state change writes nothing more.
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        std::thread::scope(|scope| {
-            for i in 0..2 {
-                let handle = handle.clone();
-                let barrier = Arc::clone(&barrier);
-                scope.spawn(move || {
-                    let mut changes = Changeset::new();
-                    changes.insert("R", citesys_storage::tuple![20 + i as i64, "t"]);
-                    barrier.wait();
-                    handle.commit(changes).unwrap();
-                });
-            }
-        });
-        assert_eq!(saver.save_count(), 1, "unchanged plans are not rewritten");
-        drop(committer);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

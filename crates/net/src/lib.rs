@@ -7,12 +7,11 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`protocol`] | the shared command grammar ([`protocol::Command`]) + wire framing — one parser for the script runner, the stdin REPL and the TCP server, so the surfaces cannot drift |
-//! | [`script`] | the stateful [`Interpreter`]: per-session state over a shareable [`SharedStore`] (versioned database, registry, plan caches, cached service) |
+//! | [`script`] | the stateful [`Interpreter`]: per-session state over a shareable [`SharedStore`] (versioned database, registry, plan caches, cached service, and the `--data-dir` durability handle — the one persistence path) |
 //! | [`group`] | cross-connection **group commit**: racing transactions coalesce into one merged changeset and one snapshot swap per commit window |
 //! | [`server`] | the TCP [`Server`]: bounded worker pool, per-connection sessions, idle timeouts, graceful shutdown |
 //! | [`event`] | the **event-driven transport** (`ServerConfig { event_loop: true, .. }`): a fixed worker set multiplexes thousands of non-blocking sockets over the hermetic epoll shim, with wire pipelining and `@tag` request tags |
 //! | [`client`] | [`Connection`] + the `citesys client` script runner (sync and pipelined) |
-//! | [`persist`] | debounced plan-cache persistence (saves survive SIGINT / killed connections) |
 //! | [`replication`] | WAL-shipping read replicas: primary-side feeds plus the `serve --follow` follower runtime, with bounded-lag accounting |
 //! | [`obs`] | observability: the registry-backed [`obs::StoreObs`] instrument bundle (commit/replication counters, per-stage cite histograms, durability timings), the `serve --metrics` scrape responder, and the `--slow-cite-ms` log line |
 //!
@@ -43,7 +42,6 @@ pub mod client;
 pub mod event;
 pub mod group;
 pub mod obs;
-pub mod persist;
 pub mod protocol;
 pub mod replication;
 pub mod script;
@@ -52,10 +50,8 @@ pub mod server;
 pub use client::Connection;
 pub use group::{CommitAck, CommitTicket, GroupCommitHandle, GroupCommitter};
 pub use obs::{spawn_metrics_server, StoreObs};
-pub use persist::PlanSaver;
 pub use protocol::{Command, LineReader, Response, WireErrorKind};
 pub use script::{
     Interpreter, ScriptError, ScriptErrorKind, SessionControl, SessionReply, SharedStore,
-    StoreStats,
 };
 pub use server::{Server, ServerConfig};

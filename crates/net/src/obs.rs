@@ -3,7 +3,7 @@
 //! [`StoreObs`] is the registry-backed instrument bundle every
 //! [`SharedStore`] owns: the write-path and
 //! replication counters the `stats` command prints (one source of
-//! truth — `StoreStats` is assembled **from** these), the per-stage
+//! truth — `stats` and `metrics` read the same atomics), the per-stage
 //! cite latency histograms (`parse → plan_lookup → rewrite → eval →
 //! digest → render`), the durability timings (WAL fsync, checkpoint,
 //! snapshot swap, commit, group window) and the transport disconnect
@@ -49,18 +49,33 @@ pub const CITE_STAGES: &[&str] = &[
 #[derive(Clone)]
 pub struct StoreObs {
     registry: Arc<Registry>,
-    // Write path (the `stats` command's source of truth).
-    pub(crate) commits: Arc<Counter>,
-    pub(crate) snapshot_swaps: Arc<Counter>,
-    pub(crate) group_windows: Arc<Counter>,
-    pub(crate) largest_group: Arc<Gauge>,
-    pub(crate) service_builds: Arc<Counter>,
-    // Replication (primary- and follower-side).
-    pub(crate) replicas_connected: Arc<Gauge>,
-    pub(crate) replica_records_shipped: Arc<Counter>,
-    pub(crate) replica_lag_versions: Arc<Gauge>,
-    pub(crate) replica_lag_records: Arc<Gauge>,
-    pub(crate) replica_reconnects: Arc<Counter>,
+    /// Commit requests acknowledged (one per `commit` command).
+    pub commits: Arc<Counter>,
+    /// Delta-maintained service snapshot publications. Under group
+    /// commit many commits share one swap, so this stays **below**
+    /// `commits` when concurrent transactions coalesce.
+    pub snapshot_swaps: Arc<Counter>,
+    /// Group-commit windows processed by the committer thread.
+    pub group_windows: Arc<Counter>,
+    /// Largest number of transactions merged into one window.
+    pub largest_group: Arc<Gauge>,
+    /// Cold service (re)builds — cites that could not reuse the cached
+    /// snapshot service.
+    pub service_builds: Arc<Counter>,
+    /// Replication feeds currently attached (primary side).
+    pub replicas_connected: Arc<Gauge>,
+    /// WAL-equivalent records shipped to followers, summed over every
+    /// feed this store ever served (primary side).
+    pub replica_records_shipped: Arc<Counter>,
+    /// Versions the primary is known to be ahead of this follower
+    /// (follower side; 0 when caught up or not following).
+    pub replica_lag_versions: Arc<Gauge>,
+    /// Shipped records received but not yet applied locally (follower
+    /// side; nonzero only transiently while a record is mid-apply).
+    pub replica_lag_records: Arc<Gauge>,
+    /// Times the follower lost its primary and entered backoff
+    /// (follower side).
+    pub replica_reconnects: Arc<Counter>,
     // Transport disconnect accounting (both transports).
     pub(crate) disconnects_idle: Arc<Counter>,
     pub(crate) disconnects_oversized: Arc<Counter>,

@@ -128,50 +128,6 @@ pub(crate) fn readonly_err(message: impl Into<String>) -> CmdError {
 // Shared store
 // ---------------------------------------------------------------------------
 
-/// Change-detection fingerprint of a store's persistable plan state:
-/// `(cache generation, cached plans, fresh searches, evictions, staged
-/// import?)` — see [`SharedStore::plan_fingerprint`].
-pub type PlanFingerprint = (u64, usize, u64, u64, bool);
-
-/// Write-path and cache counters of a [`SharedStore`] — the numbers the
-/// `stats` command prints and the E16 group-commit experiment reads.
-///
-/// Since the observability migration this is a **snapshot assembled
-/// from the registry-backed [`StoreObs`] instruments** (see
-/// [`SharedStore::stats`]): the counters live in the metrics registry
-/// and this struct only reads them out, so `stats` and `metrics`
-/// cannot disagree.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct StoreStats {
-    /// Commit requests acknowledged (one per `commit` command).
-    pub commits: u64,
-    /// Delta-maintained service snapshot publications. Under group
-    /// commit many commits share one swap, so this stays **below**
-    /// `commits` when concurrent transactions coalesce.
-    pub snapshot_swaps: u64,
-    /// Group-commit windows processed by the committer thread.
-    pub group_windows: u64,
-    /// Largest number of transactions merged into one window.
-    pub largest_group: u64,
-    /// Cold service (re)builds — cites that could not reuse the cached
-    /// snapshot service.
-    pub service_builds: u64,
-    /// Replication feeds currently attached (primary side).
-    pub replicas_connected: u64,
-    /// WAL-equivalent records shipped to followers, summed over every
-    /// feed this store ever served (primary side).
-    pub replica_records_shipped: u64,
-    /// Versions the primary is known to be ahead of this follower
-    /// (follower side; 0 when caught up or not following).
-    pub replica_lag_versions: u64,
-    /// Shipped records received but not yet applied locally (follower
-    /// side; nonzero only transiently while a record is mid-apply).
-    pub replica_lag_records: u64,
-    /// Times the follower lost its primary and entered backoff
-    /// (follower side).
-    pub replica_reconnects: u64,
-}
-
 /// The shareable half of an interpreter: schema, versioned store,
 /// citation registry, plan caches, the cached per-version service and
 /// the write-path counters.
@@ -188,19 +144,14 @@ pub struct SharedStore {
     /// the same query). Cleared when a view is registered.
     plans_strict: Arc<PlanCache>,
     plans_partial: Arc<PlanCache>,
-    /// Plan-cache text staged by `serve --plan-cache`, loaded at the
-    /// first `cite` (after the session's `view` commands have settled the
-    /// registry — loading earlier would be dropped by the cache swap each
-    /// registration performs).
-    pending_plan_import: Option<String>,
     /// Service over the latest committed snapshot, rebuilt on demand and
     /// carried across commits by batch delta maintenance.
     service: Option<(u64, bool, CitationService)>,
-    /// Bumped whenever a view registration replaces the plan caches —
-    /// part of [`plan_fingerprint`](Self::plan_fingerprint), so the
-    /// persister notices the rewriting space changed even when the new
-    /// cache's counters coincide with the old one's.
-    plan_generation: u64,
+    /// Bumped whenever the registry is replaced or extended (a view
+    /// registration, an installed replica checkpoint) — half of
+    /// [`replication_generation`](Self::replication_generation), which
+    /// tells a feed to re-bootstrap its follower.
+    setup_generation: u64,
     /// Durability backend (`serve --data-dir`): every sealed commit is
     /// WAL-logged **before** it is acknowledged, and schema/view
     /// registrations (plus the `checkpoint` command) write a full
@@ -261,9 +212,8 @@ impl SharedStore {
             registry: CitationRegistry::new(),
             plans_strict: Arc::new(PlanCache::new(citesys_core::DEFAULT_PLAN_CACHE_CAPACITY)),
             plans_partial: Arc::new(PlanCache::new(citesys_core::DEFAULT_PLAN_CACHE_CAPACITY)),
-            pending_plan_import: None,
             service: None,
-            plan_generation: 0,
+            setup_generation: 0,
             durability: None,
             checkpoint_every: None,
             obs: StoreObs::new(),
@@ -305,8 +255,8 @@ impl SharedStore {
             sh.schemas = rec.store.schemas().to_vec();
             sh.registry = rec.service.registry().as_ref().clone();
             // The recovered service owns the recovered plan cache; the
-            // store's strict cache must be the same object so exports
-            // and fingerprints see it.
+            // store's strict cache must be the same object so the next
+            // checkpoint exports it.
             sh.plans_strict = Arc::clone(rec.service.plan_cache());
             sh.store = Some(rec.store);
             sh.service = Some((version, false, rec.service));
@@ -585,7 +535,7 @@ impl SharedStore {
     /// (schema declared, view registered): feeds compare it between
     /// batches and re-bootstrap their follower on change.
     pub(crate) fn replication_generation(&self) -> (u64, usize) {
-        (self.plan_generation, self.schemas.len())
+        (self.setup_generation, self.schemas.len())
     }
 
     /// Re-materializes the changeset committed as `version` from the
@@ -621,10 +571,9 @@ impl SharedStore {
         self.registry = service.registry().as_ref().clone();
         self.plans_strict = Arc::clone(service.plan_cache());
         self.plans_partial = Arc::new(PlanCache::new(citesys_core::DEFAULT_PLAN_CACHE_CAPACITY));
-        self.pending_plan_import = None;
         self.store = Some(store);
         self.service = Some((version, false, service));
-        self.plan_generation += 1;
+        self.setup_generation += 1;
         self.obs.service_builds.inc();
         if let Some(handle) = &mut self.durability {
             handle
@@ -731,24 +680,6 @@ impl SharedStore {
             .collect()
     }
 
-    /// Counter snapshot, assembled from the registry-backed
-    /// instruments — the `stats` command and the `metrics` exposition
-    /// read the same atomics, so they cannot disagree.
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            commits: self.obs.commits.get(),
-            snapshot_swaps: self.obs.snapshot_swaps.get(),
-            group_windows: self.obs.group_windows.get(),
-            largest_group: self.obs.largest_group.get(),
-            service_builds: self.obs.service_builds.get(),
-            replicas_connected: self.obs.replicas_connected.get(),
-            replica_records_shipped: self.obs.replica_records_shipped.get(),
-            replica_lag_versions: self.obs.replica_lag_versions.get(),
-            replica_lag_records: self.obs.replica_lag_records.get(),
-            replica_reconnects: self.obs.replica_reconnects.get(),
-        }
-    }
-
     /// The store's observability instruments. The group committer, the
     /// transports and the replication runtime record through clones of
     /// this bundle without holding the store lock; embedders use it to
@@ -805,28 +736,9 @@ impl SharedStore {
         self.registry.clone()
     }
 
-    /// True while staged plan-cache text has not been consumed by a
-    /// `cite` yet (see [`stage_plan_import`](Self::stage_plan_import)).
-    pub fn has_pending_plan_import(&self) -> bool {
-        self.pending_plan_import.is_some()
-    }
-
-    /// Stages plan-cache text to be imported at the next `cite` command —
-    /// i.e. after the session's `view` registrations have settled the
-    /// registry (each registration swaps in fresh caches, so an eager
-    /// import would be dropped). Used by `citesys serve --plan-cache`.
-    pub fn stage_plan_import(&mut self, text: String) {
-        self.pending_plan_import = Some(text);
-    }
-
     /// Serializes the strict plan cache to the `citesys-plan-cache v1`
-    /// text form. A staged import no `cite` has consumed yet is returned
-    /// verbatim instead: the live cache is necessarily empty in that
-    /// state, and saving must not truncate the file it was loaded from.
+    /// text form — the checkpoint's plan section.
     pub fn export_plans(&self) -> String {
-        if let Some(staged) = &self.pending_plan_import {
-            return staged.clone();
-        }
         self.plans_strict.to_text()
     }
 
@@ -834,26 +746,6 @@ impl SharedStore {
     /// into the strict plan cache, returning how many were loaded.
     pub fn import_plans(&mut self, text: &str) -> Result<usize, String> {
         self.plans_strict.load_text(text).map_err(|e| e.to_string())
-    }
-
-    /// A cheap change-detection fingerprint of the persistable plan
-    /// state: `(cache generation, cached plans, fresh searches,
-    /// evictions, staged import?)`. The generation bumps every time a
-    /// view registration swaps in fresh caches — without it, a
-    /// post-registration cache that happens to reach the same counters
-    /// would look unchanged and the on-disk file would keep plans
-    /// computed under the old registry (unsound for the new one). The
-    /// [`PlanSaver`](crate::persist::PlanSaver) rewrites the file only
-    /// when this moves.
-    pub fn plan_fingerprint(&self) -> PlanFingerprint {
-        let s = self.plans_strict.stats();
-        (
-            self.plan_generation,
-            self.plans_strict.len(),
-            s.misses,
-            s.evictions,
-            self.pending_plan_import.is_some(),
-        )
     }
 
     fn store_mut(&mut self) -> Result<&mut VersionedDatabase, CmdError> {
@@ -1375,7 +1267,7 @@ impl Interpreter {
             sh.plans_strict = Arc::new(PlanCache::new(citesys_core::DEFAULT_PLAN_CACHE_CAPACITY));
             sh.plans_partial = Arc::new(PlanCache::new(citesys_core::DEFAULT_PLAN_CACHE_CAPACITY));
             sh.service = None;
-            sh.plan_generation += 1;
+            sh.setup_generation += 1;
             // Registry changes cannot ride the WAL; checkpoint so the
             // view (and the invalidated plan cache) survive a crash.
             sh.checkpoint_after_ddl()?;
@@ -1441,27 +1333,16 @@ impl Interpreter {
         if let Some(version) = spec.as_of {
             return self.cmd_cite_at(version, spec);
         }
-        let (service, version, loaded, slow_ms) = {
+        let (service, version, slow_ms) = {
             let mut sh = self.shared.lock();
-            let mut loaded = None;
-            if let Some(text) = sh.pending_plan_import.take() {
-                let n = sh
-                    .plans_strict
-                    .load_text(&text)
-                    .map_err(|e| cite_err(format!("plan-cache file: {e}")))?;
-                loaded = Some(n);
-            }
             let store = sh.store_mut()?;
             if store.has_pending() {
                 return Err(cite_err("uncommitted changes: run 'commit' before 'cite'"));
             }
             let version = store.latest_version();
             let service = sh.service_at(version, spec.options)?;
-            (service, version, loaded, sh.slow_cite_ms)
+            (service, version, sh.slow_cite_ms)
         };
-        if let Some(n) = loaded {
-            self.say(format!("loaded {n} cached plan(s)"));
-        }
         // Spans are collected when histogram timings are on OR the
         // slow-cite log is armed; with both off the tracing cost is a
         // branch per stage (no clock reads).
@@ -2044,18 +1925,17 @@ impl Interpreter {
         Ok(())
     }
 
-    /// `stats`: the shared store's write-path counters plus the strict
-    /// plan cache's hit/miss counters and the cached service's view
-    /// warmth, one `name value` pair per line, **sorted by name** so
-    /// the output is deterministic (the per-replica `replica[<peer>]`
-    /// lines sort with everything else).
+    /// `stats`: the write-path and replication counters straight from
+    /// the [`StoreObs`] instruments (the atomics `metrics` renders, so
+    /// the two cannot disagree) plus the strict plan cache's hit/miss
+    /// counters and the cached service's view warmth, one `name value`
+    /// pair per line, **sorted by name** so the output is deterministic
+    /// (the per-replica `replica[<peer>]` lines sort with everything
+    /// else).
     fn cmd_stats(&mut self) -> Result<(), CmdError> {
-        let (st, disc_idle, disc_over, plans, views, wal, base, retained, primary, peers) = {
+        let (plans, views, wal, base, retained, primary, peers) = {
             let sh = self.shared.lock();
             (
-                sh.stats(),
-                sh.obs.disconnects_idle.get(),
-                sh.obs.disconnects_oversized.get(),
                 sh.plans_strict.stats(),
                 sh.view_cache_stats().unwrap_or_default(),
                 sh.wal_records(),
@@ -2065,14 +1945,15 @@ impl Interpreter {
                 sh.replica_peers(),
             )
         };
+        let obs = &self.obs;
         let mut lines = vec![
-            format!("commits {}", st.commits),
-            format!("snapshot_swaps {}", st.snapshot_swaps),
-            format!("group_windows {}", st.group_windows),
-            format!("largest_group {}", st.largest_group),
-            format!("service_builds {}", st.service_builds),
-            format!("disconnects_idle {disc_idle}"),
-            format!("disconnects_oversized {disc_over}"),
+            format!("commits {}", obs.commits.get()),
+            format!("snapshot_swaps {}", obs.snapshot_swaps.get()),
+            format!("group_windows {}", obs.group_windows.get()),
+            format!("largest_group {}", obs.largest_group.get()),
+            format!("service_builds {}", obs.service_builds.get()),
+            format!("disconnects_idle {}", obs.disconnects_idle.get()),
+            format!("disconnects_oversized {}", obs.disconnects_oversized.get()),
             format!("plan_cache_hits {}", plans.hits),
             format!("plan_cache_misses {}", plans.misses),
             format!("view_materializations {}", views.materializations),
@@ -2080,11 +1961,14 @@ impl Interpreter {
             format!("wal_records {wal}"),
             format!("history_base_version {base}"),
             format!("checkpoints_retained {retained}"),
-            format!("replicas_connected {}", st.replicas_connected),
-            format!("replica_records_shipped {}", st.replica_records_shipped),
-            format!("replica_lag_versions {}", st.replica_lag_versions),
-            format!("replica_lag_records {}", st.replica_lag_records),
-            format!("replica_reconnects {}", st.replica_reconnects),
+            format!("replicas_connected {}", obs.replicas_connected.get()),
+            format!(
+                "replica_records_shipped {}",
+                obs.replica_records_shipped.get()
+            ),
+            format!("replica_lag_versions {}", obs.replica_lag_versions.get()),
+            format!("replica_lag_records {}", obs.replica_lag_records.get()),
+            format!("replica_reconnects {}", obs.replica_reconnects.get()),
         ];
         if let Some(primary) = primary {
             lines.push(format!("following {primary}"));
@@ -2113,22 +1997,9 @@ impl Interpreter {
         self.shared.lock().plan_cache_stats()
     }
 
-    /// The shared store's write-path counters (commits, snapshot swaps,
-    /// group-commit windows).
-    pub fn store_stats(&self) -> StoreStats {
-        self.shared.lock().stats()
-    }
-
     /// Serializes the strict plan cache to the `citesys-plan-cache v1`
-    /// text form (the `serve --plan-cache` / `plans export` persistence
-    /// format). The partial-fallback cache is session-local and not
-    /// persisted.
-    ///
-    /// A staged import that no `cite` has consumed yet is returned
-    /// verbatim instead: the live cache is necessarily empty in that
-    /// state, and a `serve --plan-cache` session that exits without
-    /// citing must save the plans it was handed, not truncate the file
-    /// with an empty cache.
+    /// text form (the checkpoint's plan section). The partial-fallback
+    /// cache is session-local and not persisted.
     pub fn export_plans(&self) -> String {
         self.shared.lock().export_plans()
     }
@@ -2139,25 +2010,9 @@ impl Interpreter {
     /// Plans are only sound for the registry they were computed under;
     /// registering a view afterwards replaces the cache (dropping the
     /// imported plans), which keeps a stale import from outliving a
-    /// changed rewriting space within a session. Across sessions the
-    /// operator must pair a plan file with the script that registers the
-    /// same views.
+    /// changed rewriting space within a session.
     pub fn import_plans(&mut self, text: &str) -> Result<usize, String> {
         self.shared.lock().import_plans(text)
-    }
-
-    /// Stages plan-cache text to be imported at the next `cite` command
-    /// (see [`SharedStore::stage_plan_import`]).
-    pub fn stage_plan_import(&mut self, text: String) {
-        self.shared.lock().stage_plan_import(text);
-    }
-
-    /// True while staged plan-cache text has not been consumed by a
-    /// `cite` yet. `serve --plan-cache` checks this before saving on
-    /// exit: a session that never cited must not overwrite the persisted
-    /// file with its (empty) in-memory cache.
-    pub fn has_pending_plan_import(&self) -> bool {
-        self.shared.lock().has_pending_plan_import()
     }
 
     /// Materialized-view cache counters of the session's cached service,
@@ -2667,53 +2522,8 @@ cite Q(B) :- S(B)
     }
 
     #[test]
-    fn staged_plan_import_survives_view_registration() {
-        let mut warm = Interpreter::new();
-        warm.run(PAPER_SCRIPT).unwrap();
-        let exported = warm.export_plans();
-
-        // Staging before the script runs (the serve --plan-cache shape):
-        // the view commands swap caches, then the first cite imports.
-        let mut interp = Interpreter::new();
-        interp.stage_plan_import(exported);
-        let out = interp.run(PAPER_SCRIPT).unwrap();
-        assert!(out.contains("loaded 1 cached plan(s)"), "{out}");
-        let stats = interp.plan_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 0), "{stats:?}");
-    }
-
-    #[test]
-    fn export_preserves_staged_plans_when_no_cite_ran() {
-        let mut warm = Interpreter::new();
-        warm.run(PAPER_SCRIPT).unwrap();
-        let exported = warm.export_plans();
-
-        // A serve session that loads a plan file, does some non-cite work
-        // and exits: save-on-exit must write the staged plans back, not
-        // an empty live cache.
-        let mut idle = Interpreter::new();
-        idle.stage_plan_import(exported.clone());
-        idle.run_line("schema R(A:int)").unwrap();
-        idle.run_line("insert R(1)").unwrap();
-        assert!(idle.has_pending_plan_import());
-        assert_eq!(idle.export_plans(), exported, "staged plans preserved");
-
-        // Once a cite consumes the import, export reflects the live cache.
-        let mut cited = Interpreter::new();
-        cited.stage_plan_import(exported.clone());
-        cited.run(PAPER_SCRIPT).unwrap();
-        assert!(!cited.has_pending_plan_import());
-        assert!(cited.export_plans().starts_with("citesys-plan-cache v1"));
-    }
-
-    #[test]
-    fn corrupt_plan_import_reports_citation_error() {
-        let mut interp = Interpreter::new();
-        assert!(interp.import_plans("garbage").is_err());
-        interp.stage_plan_import("garbage".to_string());
-        let e = interp.run(PAPER_SCRIPT).unwrap_err();
-        assert_eq!(e.kind, ScriptErrorKind::Citation);
-        assert!(e.message.contains("plan-cache file"), "{e}");
+    fn corrupt_plan_import_is_rejected() {
+        assert!(Interpreter::new().import_plans("garbage").is_err());
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //! * the **group committer** — every session `commit` goes through one
 //!   [`GroupCommitter`] thread that coalesces racing transactions into
 //!   one merged changeset and one snapshot swap per commit window;
-//! * **plan-cache persistence** — with a `--plan-cache` path the server
-//!   stages the file's plans at startup and re-saves after any command
-//!   that changed the cache, so a killed server loses at most the last
-//!   in-flight search (the durability fix the stdin REPL shares).
+//! * **one persistence path** — with a `data_dir` the store recovers
+//!   checkpoint + WAL at startup (data, registry, warm views and rewrite
+//!   plans) and WAL-logs every commit before acking; nothing else is
+//!   written to disk.
 //!
 //! Sessions end on `quit`, EOF, an idle timeout, an oversized line, or
 //! server shutdown; the `shutdown` command stops the whole server
 //! gracefully (workers finish their current command, the committer
-//! drains, the plan cache is saved).
+//! drains).
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -34,9 +34,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::group::{GroupCommitHandle, GroupCommitter};
-use crate::persist::PlanSaver;
 use crate::protocol::{self, LineRead, LineReader, Response, WireErrorKind};
-use crate::script::{Interpreter, ScriptErrorKind, SessionControl, SharedStore, StoreStats};
+use crate::script::{Interpreter, ScriptErrorKind, SessionControl, SharedStore};
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -50,10 +49,6 @@ pub struct ServerConfig {
     /// Group-commit coalescing window (`ZERO` = per-transaction
     /// commits).
     pub commit_window: Duration,
-    /// Plan-cache file to stage at startup and keep saved (deprecated:
-    /// superseded by `data_dir`, which persists plans *and* everything
-    /// else; see MIGRATION.md).
-    pub plan_cache: Option<std::path::PathBuf>,
     /// Durable data directory: recover checkpoint + WAL at startup,
     /// WAL-log every commit before acking, serve the `checkpoint`
     /// command.
@@ -103,7 +98,6 @@ impl Default for ServerConfig {
             workers: 8,
             idle_timeout: Duration::from_secs(300),
             commit_window: Duration::from_millis(2),
-            plan_cache: None,
             data_dir: None,
             max_line_bytes: protocol::MAX_LINE_BYTES,
             follow: None,
@@ -129,7 +123,6 @@ pub struct Server {
     shutdown: Arc<AtomicBool>,
     workers: Vec<JoinHandle<()>>,
     committer: Option<GroupCommitter>,
-    saver: Option<Arc<PlanSaver>>,
     follower: Option<JoinHandle<()>>,
     open_conns: Arc<AtomicUsize>,
     feed_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -159,36 +152,10 @@ impl Server {
         if config.metrics.is_some() {
             shared.lock().obs().set_timings_enabled(true);
         }
-        let saver = match &config.plan_cache {
-            Some(path) => {
-                match std::fs::read_to_string(path) {
-                    Ok(text) => shared.lock().stage_plan_import(text),
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
-                }
-                Some(Arc::new(PlanSaver::new(path)))
-            }
-            None => None,
-        };
-        // The committer owns the commit-path save: one per window,
-        // before the acks, instead of one per session command.
-        let committer = GroupCommitter::spawn_with_saver(
-            Arc::clone(&shared),
-            config.commit_window,
-            saver.clone(),
-        );
         let shutdown = Arc::new(AtomicBool::new(false));
-        let follower = match &config.follow {
-            Some(primary) => {
-                shared.lock().set_follow(primary.clone());
-                Some(crate::replication::spawn_follower(
-                    Arc::clone(&shared),
-                    Arc::clone(&shutdown),
-                    primary.clone(),
-                ))
-            }
-            None => None,
-        };
+        // Every fallible bind happens before the follower starts: an
+        // early return below must not leave it streaming into a store
+        // nobody serves.
         let (metrics_addr, metrics_thread) = match &config.metrics {
             Some(addr) => {
                 let (bound, handle) = crate::obs::spawn_metrics_server(
@@ -200,6 +167,18 @@ impl Server {
             }
             None => (None, None),
         };
+        let committer = GroupCommitter::spawn(Arc::clone(&shared), config.commit_window);
+        let follower = match &config.follow {
+            Some(primary) => {
+                shared.lock().set_follow(primary.clone());
+                Some(crate::replication::spawn_follower(
+                    Arc::clone(&shared),
+                    Arc::clone(&shutdown),
+                    primary.clone(),
+                ))
+            }
+            None => None,
+        };
         let obs = shared.lock().obs().clone();
         let listener = Arc::new(listener);
         let open_conns = Arc::new(AtomicUsize::new(0));
@@ -209,7 +188,6 @@ impl Server {
                 shared: Arc::clone(&shared),
                 committer: committer.handle(),
                 shutdown: Arc::clone(&shutdown),
-                saver: saver.clone(),
                 idle_timeout: config.idle_timeout,
                 max_line_bytes: config.max_line_bytes,
                 max_connections: config.max_connections.max(1),
@@ -237,7 +215,6 @@ impl Server {
                         shared: Arc::clone(&shared),
                         committer: committer.handle(),
                         shutdown: Arc::clone(&shutdown),
-                        saver: saver.clone(),
                         idle_timeout: config.idle_timeout,
                         max_line_bytes: config.max_line_bytes,
                         open_conns: Arc::clone(&open_conns),
@@ -256,7 +233,6 @@ impl Server {
             shutdown,
             workers,
             committer: Some(committer),
-            saver,
             follower,
             open_conns,
             feed_threads,
@@ -278,11 +254,6 @@ impl Server {
     /// The shared store (stats inspection, tests).
     pub fn shared(&self) -> &Arc<Mutex<SharedStore>> {
         &self.shared
-    }
-
-    /// Write-path counter snapshot.
-    pub fn stats(&self) -> StoreStats {
-        self.shared.lock().stats()
     }
 
     /// Connections currently held open by the transport (sessions on
@@ -328,9 +299,6 @@ impl Server {
         }
         // After the workers: no more commits can arrive.
         self.committer.take();
-        if let Some(saver) = &self.saver {
-            let _ = saver.maybe_save(&self.shared);
-        }
     }
 }
 
@@ -347,7 +315,6 @@ struct WorkerCtx {
     shared: Arc<Mutex<SharedStore>>,
     committer: GroupCommitHandle,
     shutdown: Arc<AtomicBool>,
-    saver: Option<Arc<PlanSaver>>,
     idle_timeout: Duration,
     max_line_bytes: usize,
     open_conns: Arc<AtomicUsize>,
@@ -458,23 +425,7 @@ fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) -> io::Result<()> {
         // command on the blocking path answers with the same tagged
         // frame the event loop would produce.
         let (tag, body) = protocol::split_tag(&line);
-        // A bare token check, not a second protocol parse: `commit`
-        // takes no arguments, so this matches exactly the lines
-        // parse_command maps to Command::Commit.
-        let is_commit = protocol::strip_comment(body).trim() == "commit";
-        let result = interp.run_session_line(body);
-        // Persist plan-cache changes BEFORE acking: once the client sees
-        // the response, the warm cache is already on disk (a killed
-        // server loses at most the in-flight command). Commits are the
-        // exception — their save already ran on the committer thread,
-        // once per window, so racing sessions don't each pay (or race)
-        // a redundant check here.
-        if !is_commit {
-            if let Some(saver) = &ctx.saver {
-                let _ = saver.maybe_save(&ctx.shared);
-            }
-        }
-        match result {
+        match interp.run_session_line(body) {
             Ok(reply) => match reply.control {
                 SessionControl::Continue => {
                     protocol::write_tagged_response(

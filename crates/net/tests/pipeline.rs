@@ -101,13 +101,13 @@ fn pipelined_equals_sync_responses_and_stats() {
 
     assert_eq!(sync_responses, pipelined_responses);
 
-    let sync_stats = sync_server.stats();
-    let event_stats = event_server.stats();
-    assert_eq!(sync_stats.commits, event_stats.commits);
-    assert_eq!(sync_stats.snapshot_swaps, event_stats.snapshot_swaps);
-    assert_eq!(sync_stats.group_windows, event_stats.group_windows);
-    assert_eq!(sync_stats.largest_group, event_stats.largest_group);
-    assert_eq!(sync_stats.service_builds, event_stats.service_builds);
+    let sync = sync_server.shared().lock().obs().clone();
+    let event = event_server.shared().lock().obs().clone();
+    assert_eq!(sync.commits.get(), event.commits.get());
+    assert_eq!(sync.snapshot_swaps.get(), event.snapshot_swaps.get());
+    assert_eq!(sync.group_windows.get(), event.group_windows.get());
+    assert_eq!(sync.largest_group.get(), event.largest_group.get());
+    assert_eq!(sync.service_builds.get(), event.service_builds.get());
     sync_server.stop();
     event_server.stop();
 }
@@ -252,7 +252,8 @@ fn pipelined_commit_burst_coalesces_into_one_window() {
     let mut admin = Connection::connect(&addr).unwrap();
     ok_lines(admin.send("schema R(A:int, B:text) key(0)").unwrap());
     ok_lines(admin.send("commit").unwrap());
-    let base = server.stats();
+    let obs = server.shared().lock().obs().clone();
+    let base = (obs.commits.get(), obs.group_windows.get());
 
     let mut conn = Connection::connect(&addr).unwrap();
     let burst = [
@@ -275,14 +276,13 @@ fn pipelined_commit_burst_coalesces_into_one_window() {
     assert!(acks[2][0].contains("group of 2"), "{acks:?}");
     assert!(acks[5][0].contains("group of 2"), "{acks:?}");
 
-    let stats = server.stats();
-    assert_eq!(stats.commits - base.commits, 2, "{stats:?}");
+    assert_eq!(obs.commits.get() - base.0, 2);
     assert_eq!(
-        stats.group_windows - base.group_windows,
+        obs.group_windows.get() - base.1,
         1,
-        "burst split across windows: {stats:?}"
+        "burst split across windows"
     );
-    assert!(stats.largest_group >= 2, "{stats:?}");
+    assert!(obs.largest_group.get() >= 2);
     let rows = ok_lines(admin.send("dump R").unwrap());
     // CSV header plus the two tuples from the merged burst.
     assert_eq!(rows.len(), 3, "{rows:?}");
@@ -295,9 +295,11 @@ fn pipelined_commit_burst_coalesces_into_one_window() {
 fn quit_drops_the_pipelined_tail() {
     let (server, addr) = spawn(event_config());
     let mut conn = Connection::connect(&addr).unwrap();
-    conn.send_nowait(None, "schema R(A:int)").unwrap();
-    conn.send_nowait(None, "quit").unwrap();
-    conn.send_nowait(None, "tables").unwrap();
+    // One write, so the tail is in the server's buffer before it acts
+    // on `quit`; separate sends would race the close and can hit a reset.
+    conn.stream()
+        .write_all(b"schema R(A:int)\nquit\ntables\n")
+        .unwrap();
     ok_lines(conn.read_tagged_response().unwrap().unwrap().1);
     let (_, resp) = conn.read_tagged_response().unwrap().unwrap();
     assert_eq!(ok_lines(resp), vec!["bye".to_string()]);

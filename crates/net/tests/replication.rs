@@ -540,3 +540,28 @@ fn diverged_follower_refuses_rewind_and_keeps_serving() {
     primary.stop();
     let _ = std::fs::remove_dir_all(&fdir);
 }
+
+/// A follower whose `metrics` address cannot be bound must fail to
+/// start **without** leaving a follower thread behind: an orphan (its
+/// `JoinHandle` dropped, `shutdown` never set) would keep a feed open
+/// on the primary forever.
+#[test]
+fn failed_follower_spawn_leaves_no_feed_on_the_primary() {
+    let primary = Server::spawn(ServerConfig::default()).expect("bind primary");
+    let paddr = primary.local_addr().to_string();
+    // An address that is certainly in use: a listener this test holds.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind blocker");
+    let result = Server::spawn(ServerConfig {
+        metrics: Some(taken.local_addr().unwrap().to_string()),
+        ..follower_config(&paddr)
+    });
+    assert!(result.is_err(), "metrics bind on a taken port must fail");
+    // A leaked follower attaches within milliseconds; watch for a second.
+    let obs = primary.shared().lock().obs().clone();
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while Instant::now() < deadline {
+        assert_eq!(obs.replicas_connected.get(), 0, "leaked follower attached");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    primary.stop();
+}

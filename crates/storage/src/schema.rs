@@ -1,11 +1,9 @@
 //! Relation schemas and the database catalog.
 
-use serde::{Deserialize, Serialize};
-
 use citesys_cq::{Symbol, ValueType};
 
 /// A named, typed attribute of a relation.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Attribute {
     /// Attribute name (e.g. `FID`).
     pub name: Symbol,
@@ -26,7 +24,7 @@ impl Attribute {
 /// Schema of one relation: name, typed attributes, and an optional key
 /// (attribute positions). The paper's example underlines `FID` in `Family`
 /// and `(FID, PName)` in `Committee`.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RelationSchema {
     /// Relation name.
     pub name: Symbol,

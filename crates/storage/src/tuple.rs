@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use citesys_cq::Value;
 
 /// An immutable database tuple.
@@ -11,7 +9,7 @@ use citesys_cq::Value;
 /// Stored as a boxed slice: two words on the stack instead of `Vec`'s three,
 /// and the arity never changes after construction (see the type-size
 /// guidance in the Rust Performance Book).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple(Box<[Value]>);
 
 impl Tuple {

@@ -71,7 +71,7 @@ grep -q 'citesys-net' MIGRATION.md \
 # have a Durability section with the WAL/checkpoint/recovery story and
 # the on-disk format-version table, the quickstart must show
 # --data-dir, and the migration guide must record the --plan-cache
-# deprecation.
+# removal (and nothing may still advertise the flag as usable).
 grep -q '## Durability' ARCHITECTURE.md \
     || { echo "ARCHITECTURE.md must have a 'Durability' section"; fail=1; }
 grep -q 'write-ahead log\|WAL' ARCHITECTURE.md \
@@ -84,10 +84,15 @@ grep -q 'data-dir' README.md \
     || { echo "README.md must quickstart 'serve --data-dir'"; fail=1; }
 grep -q 'citesys recover\|bin citesys -- recover' README.md \
     || { echo "README.md must show the recover subcommand"; fail=1; }
-grep -q 'plan-cache' MIGRATION.md \
-    || { echo "MIGRATION.md must record the --plan-cache deprecation"; fail=1; }
-grep -qi 'deprecat' MIGRATION.md \
-    || { echo "MIGRATION.md must mark --plan-cache as deprecated"; fail=1; }
+grep -q '## Removed in this version' MIGRATION.md \
+    || { echo "MIGRATION.md must have the 'Removed in this version' table"; fail=1; }
+grep -q 'serve --plan-cache.*|.*serve --data-dir' MIGRATION.md \
+    || { echo "MIGRATION.md must map the removed --plan-cache to --data-dir"; fail=1; }
+grep -q 'CitationEngine.*|.*CitationService' MIGRATION.md \
+    || { echo "MIGRATION.md must map the removed CitationEngine to CitationService"; fail=1; }
+if grep -n 'serve --plan-cache' README.md; then
+    echo "README.md must not quickstart the removed --plan-cache flag"; fail=1
+fi
 
 # Content contract for the replication subsystem: the architecture doc
 # must have a Replication section covering the readonly rejection and

@@ -14,8 +14,6 @@
 //! $ citesys compact ./data --keep 16        # trim time-travel history to a window
 //! $ citesys wal dump ./data                 # print the WAL's changesets
 //! $ citesys wal compact ./data --keep 16    # alias for 'compact'
-//! $ citesys plans export session.cts plans.txt
-//! $ citesys plans import plans.txt
 //! ```
 //!
 //! See [`citesys::script`] for the command language and
@@ -30,7 +28,6 @@ use std::io::{BufRead, Read, Write};
 use std::time::Duration;
 
 use citesys::net::client::{run_script, run_script_pipelined};
-use citesys::net::persist::PlanSaver;
 use citesys::net::script::{
     Interpreter, ScriptError, ScriptErrorKind, SessionControl, SharedStore,
 };
@@ -53,11 +50,11 @@ const EXIT_COMPACTED: i32 = 5;
 const EXIT_TAMPER: i32 = 6;
 
 fn usage() -> String {
-    "usage: citesys <script-file | - | serve | client | ingest | dataset | checkpoint | recover | compact | wal | plans>\n\n\
+    "usage: citesys <script-file | - | serve | client | ingest | dataset | checkpoint | recover | compact | wal>\n\n\
      modes:\n  \
      <script-file>  run a script file\n  \
      -              read a whole script from stdin\n  \
-     serve [--data-dir <path>] [--plan-cache <path>] [--listen <addr>]\n        \
+     serve [--data-dir <path>] [--listen <addr>]\n        \
      [--follow <addr>] [--workers <n>] [--idle-timeout <secs>] [--commit-window-ms <ms>]\n        \
      [--event-loop] [--max-connections <n>]\n        \
      [--checkpoint-every <records>] [--retain-checkpoints <n>]\n        \
@@ -69,9 +66,6 @@ fn usage() -> String {
      every commit is write-ahead-logged and fsynced before it is\n                 \
      acknowledged, and the 'checkpoint' command folds the log into\n                 \
      a fresh snapshot.\n                 \
-     --plan-cache (deprecated: use --data-dir, which persists plans\n                 \
-     and everything else) loads cached rewrite plans from <path> at\n                 \
-     the first cite and keeps the file saved after every change.\n                 \
      --listen serves the same command language over TCP instead:\n                 \
      concurrent sessions share one store, and racing begin…commit\n                 \
      transactions group-commit into one snapshot swap per window\n                 \
@@ -130,12 +124,7 @@ fn usage() -> String {
      (--since skips records at or below <version>; asking below the\n                 \
      last checkpoint exits 5 and names the oldest retained version)\n  \
      wal compact <data-dir> [--keep <versions>]\n                 \
-     alias for 'compact'\n  \
-     plans export <script-file> <plans-file>\n                 \
-     run a script (its cites populate the plan cache), then write\n                 \
-     the cache to <plans-file>\n  \
-     plans import <plans-file>\n                 \
-     validate a plan-cache file and print a summary\n\n\
+     alias for 'compact'\n\n\
      commands:\n  \
      schema Name(attr:type, …) [key(i, …)]\n  \
      insert Name(v, …) / delete Name(v, …)\n  \
@@ -161,8 +150,6 @@ fn usage() -> String {
      snapshot [@ <version>]   print the sha256 fixity digest of a version\n  \
      compact [<window>]       trim history to the newest <window> versions\n  \
      quit / shutdown (interactive and network sessions)\n\n\
-     plan files pin the registry they were exported under: pair a plan\n\
-     file with the script that registers the same views\n\n\
      exit codes: 0 ok, 1 i/o error, 2 usage, 3 script parse error, 4 citation error,\n\
      5 requested history was compacted away, 6 dataset verification failed"
         .to_string()
@@ -177,7 +164,6 @@ fn exit_code_for(e: &ScriptError) -> i32 {
 
 /// Options accepted by `citesys serve`.
 struct ServeOpts {
-    plan_cache: Option<String>,
     data_dir: Option<String>,
     listen: Option<String>,
     follow: Option<String>,
@@ -194,7 +180,6 @@ struct ServeOpts {
 
 fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, String> {
     let mut opts = ServeOpts {
-        plan_cache: None,
         data_dir: None,
         listen: None,
         follow: None,
@@ -216,7 +201,6 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, String> {
                 .ok_or_else(|| format!("{name} needs a value"))
         };
         match flag.as_str() {
-            "--plan-cache" => opts.plan_cache = Some(take("--plan-cache")?),
             "--data-dir" => opts.data_dir = Some(take("--data-dir")?),
             "--listen" => opts.listen = Some(take("--listen")?),
             "--follow" => opts.follow = Some(take("--follow")?),
@@ -328,22 +312,6 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, String> {
             );
         }
     }
-    // --plan-cache is the deprecated plans-only shim; --data-dir
-    // persists plans as part of its checkpoints. Combining them would
-    // write the same plans twice with unclear precedence.
-    if opts.plan_cache.is_some() && opts.data_dir.is_some() {
-        return Err(
-            "--plan-cache is deprecated and superseded by --data-dir (which persists \
-             plans inside its checkpoints); use --data-dir alone"
-                .to_string(),
-        );
-    }
-    if opts.plan_cache.is_some() {
-        eprintln!(
-            "warning: --plan-cache is deprecated; use --data-dir for full durability \
-             (see MIGRATION.md)"
-        );
-    }
     Ok(opts)
 }
 
@@ -352,7 +320,6 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, String> {
 fn serve_tcp(opts: &ServeOpts) -> i32 {
     let mut config = ServerConfig {
         addr: opts.listen.clone().expect("caller checked"),
-        plan_cache: opts.plan_cache.clone().map(Into::into),
         data_dir: opts.data_dir.clone().map(Into::into),
         follow: opts.follow.clone(),
         ..Default::default()
@@ -406,12 +373,11 @@ fn serve_tcp(opts: &ServeOpts) -> i32 {
 
 /// The interactive stdin loop: executes each line as it arrives against
 /// one persistent interpreter (and thus one warm plan cache). Errors are
-/// reported but do not end the session. With `plan_cache`, previously
-/// saved rewrite plans are staged for import and the file is re-saved
-/// **after every change** — an interrupted session (SIGINT, killed
-/// terminal) keeps its warm cache on disk.
+/// reported but do not end the session. With `--data-dir` the store is
+/// durable: an interrupted session (SIGINT, killed terminal) restarts
+/// with its data, views and plans warm.
 fn serve_stdin(opts: &ServeOpts) -> i32 {
-    let (plan_cache, data_dir) = (opts.plan_cache.as_deref(), opts.data_dir.as_deref());
+    let data_dir = opts.data_dir.as_deref();
     let stdin = std::io::stdin();
     let interactive = std::env::var_os("CITESYS_SERVE_SILENT").is_none();
     let mut interp = match data_dir {
@@ -464,24 +430,6 @@ fn serve_stdin(opts: &ServeOpts) -> i32 {
         }
         None => None,
     };
-    let saver = match plan_cache {
-        Some(path) => {
-            match std::fs::read_to_string(path) {
-                Ok(text) => interp.stage_plan_import(text),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    if interactive {
-                        eprintln!("plan cache {path} not found; starting cold");
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error reading plan cache {path}: {e}");
-                    return EXIT_IO;
-                }
-            }
-            Some(PlanSaver::new(path))
-        }
-        None => None,
-    };
     if interactive {
         eprintln!("citesys serve — one command per line, Ctrl-D to exit");
     }
@@ -503,42 +451,10 @@ fn serve_stdin(opts: &ServeOpts) -> i32 {
             }
             Err(e) => eprintln!("error: {}", e.message),
         }
-        // Durability: persist plan-cache changes as they happen, not
-        // just at clean end-of-input.
-        if let Some(saver) = &saver {
-            if let Err(e) = saver.maybe_save(interp.shared()) {
-                eprintln!("error writing plan cache {}: {e}", saver.path().display());
-            }
-        }
     }
     metrics_shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
     if let Some(handle) = metrics_thread {
         let _ = handle.join();
-    }
-    if let Some(saver) = &saver {
-        if interp.has_pending_plan_import() {
-            // A session that never cited leaves the staged import
-            // unconsumed (and its own cache empty): keep the file as it
-            // was instead of rewriting it.
-            if interactive {
-                eprintln!(
-                    "no cite ran; leaving plan cache {} untouched",
-                    saver.path().display()
-                );
-            }
-            return 0;
-        }
-        match saver.maybe_save(interp.shared()) {
-            Ok(_) => {
-                if interactive {
-                    eprintln!("plan cache saved to {}", saver.path().display());
-                }
-            }
-            Err(e) => {
-                eprintln!("error writing plan cache {}: {e}", saver.path().display());
-                return EXIT_IO;
-            }
-        }
     }
     0
 }
@@ -956,65 +872,6 @@ fn dataset_cmd(args: &[String]) -> i32 {
     }
 }
 
-/// `plans export <script> <out>` / `plans import <file>`.
-fn plans(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("export") => {
-            let [_, script_path, out_path] = args else {
-                eprintln!("usage: citesys plans export <script-file> <plans-file>");
-                return EXIT_USAGE;
-            };
-            let source = match std::fs::read_to_string(script_path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error reading {script_path}: {e}");
-                    return EXIT_IO;
-                }
-            };
-            let mut interp = Interpreter::new();
-            if let Err(e) = interp.run(&source) {
-                eprintln!("error: {e}");
-                return exit_code_for(&e);
-            }
-            let text = interp.export_plans();
-            let count = interp.plan_cache_stats().misses;
-            if let Err(e) = std::fs::write(out_path, text) {
-                eprintln!("error writing {out_path}: {e}");
-                return EXIT_IO;
-            }
-            println!("exported plan cache ({count} fresh search(es)) to {out_path}");
-            0
-        }
-        Some("import") => {
-            let [_, in_path] = args else {
-                eprintln!("usage: citesys plans import <plans-file>");
-                return EXIT_USAGE;
-            };
-            let text = match std::fs::read_to_string(in_path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error reading {in_path}: {e}");
-                    return EXIT_IO;
-                }
-            };
-            match Interpreter::new().import_plans(&text) {
-                Ok(n) => {
-                    println!("{in_path}: ok, {n} plan(s)");
-                    0
-                }
-                Err(e) => {
-                    eprintln!("{in_path}: {e}");
-                    EXIT_PARSE
-                }
-            }
-        }
-        _ => {
-            eprintln!("usage: citesys plans <export|import> …\n\n{}", usage());
-            EXIT_USAGE
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let source = match args.first().map(String::as_str) {
@@ -1061,9 +918,6 @@ fn main() {
         }
         Some("wal") => {
             std::process::exit(wal_cmd(&args[1..]));
-        }
-        Some("plans") => {
-            std::process::exit(plans(&args[1..]));
         }
         Some("-") => {
             let mut buf = String::new();

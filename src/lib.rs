@@ -45,8 +45,8 @@
 //! assert_eq!(again.rewrite_stats.plan_cache_hits, 1);
 //! ```
 //!
-//! Migrating from the deprecated borrowing `CitationEngine`? See
-//! `MIGRATION.md` at the repository root.
+//! Upgrading from an older version? `MIGRATION.md` at the repository
+//! root lists what was removed and what to use instead.
 
 #![warn(missing_docs)]
 

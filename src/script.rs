@@ -8,5 +8,4 @@
 
 pub use citesys_net::script::{
     Interpreter, ScriptError, ScriptErrorKind, SessionControl, SessionReply, SharedStore,
-    StoreStats,
 };
