@@ -117,7 +117,12 @@ pub fn warm_start(dir: &PathBuf) -> Duration {
         let mut interp = Interpreter::with_store(shared);
         let out = interp.run_line(FIRST_CITE).expect("cite");
         assert!(out.contains("answer tuple"), "{out}");
-        let stats = interp.view_cache_stats().expect("service built");
+        let stats = interp
+            .shared()
+            .lock()
+            .store()
+            .view_cache_stats()
+            .expect("service built");
         assert_eq!(stats.materializations, 0, "warm start must not rebuild");
     });
     wall

@@ -62,7 +62,7 @@ pub fn storm_dir(tag: &str, commits: usize, every: u64) -> (PathBuf, u64) {
     let dir = temp_dir(tag);
     let shared =
         SharedStore::open_durable_shared_with_retention(&dir, usize::MAX).expect("open data dir");
-    shared.lock().set_checkpoint_every(Some(every));
+    shared.lock().store_mut().set_checkpoint_every(Some(every));
     let mut interp = Interpreter::with_store(shared);
     interp.run(&setup_script()).expect("setup");
     for i in 0..commits {
@@ -72,7 +72,7 @@ pub fn storm_dir(tag: &str, commits: usize, every: u64) -> (PathBuf, u64) {
             .expect("insert");
         interp.run_line("commit").expect("commit");
     }
-    let latest = interp.shared().lock().latest_version();
+    let latest = interp.shared().lock().store().latest_version();
     (dir, latest)
 }
 
@@ -127,7 +127,7 @@ pub fn table(quick: bool) -> Table {
     for every in &spacings {
         let (dir, latest) = storm_dir(&format!("sweep-{every}"), commits, *every);
         let mut interp = reopen(&dir);
-        let retained = interp.shared().lock().checkpoints_retained();
+        let retained = interp.shared().lock().store().checkpoints_retained();
         // Depth sweep: the present, the middle of history, the oldest
         // committed version. All but the first resolve via an anchor
         // whose replay tail is < `every` records.
@@ -160,7 +160,7 @@ pub fn table(quick: bool) -> Table {
         .expect("compact");
     assert!(out.starts_with("compacted to version"), "{out}");
     let compact_size = dir_size(&compact_dir);
-    let floor = interp.shared().lock().history_base_version();
+    let floor = interp.shared().lock().store().history_base_version();
     rows.push(vec![
         format!("{commits}-commit storm, full history kept"),
         "-".into(),
@@ -216,7 +216,7 @@ mod tests {
         interp.run_line("compact 2").expect("compact");
         // The floor lands on the nearest retained anchor at or below the
         // requested window — never above it.
-        let floor = interp.shared().lock().history_base_version();
+        let floor = interp.shared().lock().store().history_base_version();
         assert!(floor <= latest - 2, "floor {floor} vs latest {latest}");
         assert!(floor > 0, "something was compacted");
         assert!(dir_size(&dir) < before, "anchors were pruned");

@@ -20,8 +20,6 @@
 //! | E11 | ablation: rewriting minimization | [`e11`] |
 //! | E12 | Reactome pathway domain | [`e12`] |
 //! | E13 | §3 amortized prepared citation | [`e13`] |
-//! | E14 | §3 concurrent service throughput | [`e14`] |
-//! | E15 | §3 live updates: batch delta maintenance, snapshot reads | [`e15`] |
 //! | E16 | citation as an always-on network service | [`e16`] |
 //! | E17 | durable, restartable citation store | [`e17`] |
 //! | E18 | replication: read scale-out and bounded lag | [`e18`] |
@@ -41,8 +39,6 @@ pub mod e10;
 pub mod e11;
 pub mod e12;
 pub mod e13;
-pub mod e14;
-pub mod e15;
 pub mod e16;
 pub mod e17;
 pub mod e18;
@@ -81,8 +77,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("e11", e11::table),
     ("e12", e12::table),
     ("e13", e13::table),
-    ("e14", e14::table),
-    ("e15", e15::table),
     ("e16", e16::table),
     ("e17", e17::table),
     ("e18", e18::table),

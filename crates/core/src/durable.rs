@@ -8,11 +8,11 @@
 //!
 //! 1. [`CitationService::open`] reads the newest checkpoint, rebuilds a
 //!    warm service over it (views pre-published, plans pre-loaded), then
-//!    **replays the WAL through the normal delta-maintenance path** —
-//!    each logged changeset is staged, applied and swapped exactly as a
-//!    live commit would be, so the recovered service reaches the last
-//!    acknowledged version with its materializations still warm (zero
-//!    re-materializations).
+//!    **replays the WAL through the routine a live commit takes** (see
+//!    [`crate::store`]) — each logged changeset is applied, committed and
+//!    carried by delta maintenance, so the recovered service reaches the
+//!    last acknowledged version with its materializations still warm
+//!    (zero re-materializations).
 //! 2. [`CitationService::checkpoint`] snapshots all four components
 //!    **together** under one manifest, so a recovered stack is always
 //!    internally consistent (plans are sound for the recovered registry,
@@ -23,16 +23,17 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use citesys_storage::durability::{
-    database_from_text, database_to_text, versioned_from_text, versioned_to_text,
-};
+use citesys_obs::SpanSet;
+use citesys_storage::durability::{database_from_text, versioned_from_text};
 use citesys_storage::{
     Changeset, CheckpointData, Database, DurableStore, FileStore, Recovery, VersionedDatabase,
+    WalRecord,
 };
 
 use crate::error::CiteError;
 use crate::registry::CitationRegistry;
 use crate::service::{CitationService, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
+use crate::store::{checkpoint_sections, seal_pending};
 
 /// Manifest section holding the versioned database (schemas + tuples).
 pub const SECTION_DATABASE: &str = "database";
@@ -146,30 +147,8 @@ impl DurableHandle {
         let Some((checkpoint, tail)) = self.backend.checkpoint_at(version)? else {
             return Ok(None);
         };
-        let database_text = checkpoint
-            .section(SECTION_DATABASE)
-            .ok_or_else(|| derr("anchor checkpoint lacks its database section"))?;
-        let mut store = versioned_from_text(database_text).map_err(derr)?;
-        if store.latest_version() != checkpoint.version {
-            return Err(derr(format!(
-                "anchor claims version {} but its database section is at {}",
-                checkpoint.version,
-                store.latest_version()
-            )));
-        }
-        for record in &tail {
-            let expected = store.latest_version() + 1;
-            if record.version != expected {
-                return Err(derr(format!(
-                    "anchor WAL record for version {} but the replay is at {} \
-                     (expected {expected})",
-                    record.version,
-                    store.latest_version()
-                )));
-            }
-            store.apply_changeset(&record.changes)?;
-            store.commit();
-        }
+        let (mut store, registry) = decode(&checkpoint)?;
+        replay(&mut store, &tail, None)?;
         if store.latest_version() != version {
             return Err(derr(format!(
                 "anchor replay reached version {} but {} was requested",
@@ -177,10 +156,6 @@ impl DurableHandle {
                 version
             )));
         }
-        let registry = match checkpoint.section(SECTION_REGISTRY) {
-            Some(text) => CitationRegistry::from_text(text)?,
-            None => CitationRegistry::new(),
-        };
         let snapshot = store.snapshot(version)?;
         Ok(Some((snapshot, registry)))
     }
@@ -197,21 +172,7 @@ impl DurableHandle {
 pub fn rebuild_from_checkpoint(
     checkpoint: &CheckpointData,
 ) -> Result<(VersionedDatabase, CitationService), CiteError> {
-    let database_text = checkpoint
-        .section(SECTION_DATABASE)
-        .ok_or_else(|| derr("checkpoint lacks its database section"))?;
-    let store = versioned_from_text(database_text).map_err(derr)?;
-    if store.latest_version() != checkpoint.version {
-        return Err(derr(format!(
-            "checkpoint claims version {} but its database section is at {}",
-            checkpoint.version,
-            store.latest_version()
-        )));
-    }
-    let registry = match checkpoint.section(SECTION_REGISTRY) {
-        Some(text) => CitationRegistry::from_text(text)?,
-        None => CitationRegistry::new(),
-    };
+    let (store, registry) = decode(checkpoint)?;
     let plans = Arc::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY));
     if let Some(text) = checkpoint.section(SECTION_PLANS) {
         plans
@@ -230,6 +191,50 @@ pub fn rebuild_from_checkpoint(
     }
     let service = builder.build()?;
     Ok((store, service))
+}
+
+/// Decodes a checkpoint's versioned-database and registry sections.
+fn decode(checkpoint: &CheckpointData) -> Result<(VersionedDatabase, CitationRegistry), CiteError> {
+    let database_text = checkpoint
+        .section(SECTION_DATABASE)
+        .ok_or_else(|| derr("checkpoint lacks its database section"))?;
+    let store = versioned_from_text(database_text).map_err(derr)?;
+    if store.latest_version() != checkpoint.version {
+        return Err(derr(format!(
+            "checkpoint claims version {} but its database section is at {}",
+            checkpoint.version,
+            store.latest_version()
+        )));
+    }
+    let registry = match checkpoint.section(SECTION_REGISTRY) {
+        Some(text) => CitationRegistry::from_text(text)?,
+        None => CitationRegistry::new(),
+    };
+    Ok((store, registry))
+}
+
+/// Replays logged records onto `store` through the routine a live commit
+/// takes (see [`crate::store`]), carrying `service` — a service over the
+/// store's latest version — across every one of them.
+fn replay(
+    store: &mut VersionedDatabase,
+    records: &[WalRecord],
+    mut service: Option<CitationService>,
+) -> Result<Option<CitationService>, CiteError> {
+    for record in records {
+        let expected = store.latest_version() + 1;
+        if record.version != expected {
+            return Err(derr(format!(
+                "WAL record for version {} but the store is at {} (expected {expected})",
+                record.version,
+                store.latest_version()
+            )));
+        }
+        store.apply_changeset(&record.changes)?;
+        let spans = &mut SpanSet::disabled();
+        service = seal_pending(store, service.as_ref(), None, spans)?.1;
+    }
+    Ok(service)
 }
 
 /// The outcome of opening a durable directory that held state: the
@@ -274,27 +279,13 @@ impl CitationService {
             }
             return Ok((handle, None));
         };
-        let (mut store, mut service) = rebuild_from_checkpoint(&checkpoint)?;
-        // Replay the WAL through the normal delta-maintenance path: the
+        let (mut store, service) = rebuild_from_checkpoint(&checkpoint)?;
+        // Replay the WAL through the routine a live commit takes: the
         // recovered service crosses every logged commit exactly like the
         // live one did, keeping its materializations warm.
-        let mut replayed = 0usize;
-        for record in &recovery.wal {
-            let expected = store.latest_version() + 1;
-            if record.version != expected {
-                return Err(derr(format!(
-                    "WAL record for version {} but the store is at {} (expected {expected})",
-                    record.version,
-                    store.latest_version()
-                )));
-            }
-            let pending = service.stage_batch(&record.changes);
-            store.apply_changeset(&record.changes)?;
-            let v = store.commit();
-            let snapshot = store.snapshot(v)?;
-            service = service.with_database_delta(snapshot, pending);
-            replayed += 1;
-        }
+        let service = replay(&mut store, &recovery.wal, Some(service))?
+            .ok_or_else(|| derr("replayed version has no snapshot"))?;
+        let replayed = recovery.wal.len();
         Ok((
             handle,
             Some(RecoveredService {
@@ -317,24 +308,15 @@ impl CitationService {
         store: &VersionedDatabase,
         handle: &mut DurableHandle,
     ) -> Result<u64, CiteError> {
-        let version = store.latest_version();
-        let data = CheckpointData {
-            version,
-            sections: vec![
-                (
-                    SECTION_DATABASE.to_string(),
-                    versioned_to_text(store).map_err(derr)?,
-                ),
-                (SECTION_REGISTRY.to_string(), self.registry().to_text()),
-                (
-                    SECTION_VIEWS.to_string(),
-                    database_to_text(&self.materialized_views()),
-                ),
-                (SECTION_PLANS.to_string(), self.plan_cache().to_text()),
-            ],
-        };
+        let data = checkpoint_sections(
+            store,
+            self.registry(),
+            &self.materialized_views(),
+            self.plan_cache(),
+        )
+        .map_err(derr)?;
         handle.write_checkpoint(&data)?;
-        Ok(version)
+        Ok(data.version)
     }
 }
 
@@ -342,27 +324,13 @@ impl CitationService {
 mod tests {
     use super::*;
     use crate::paper;
+    use crate::store::Store;
     use citesys_storage::MemStore;
 
-    /// Builds the paper's store + service and commits its data as v1.
+    /// The paper's store + service with its data committed as v1.
     fn paper_stack() -> (VersionedDatabase, CitationService) {
-        let schemas = paper::paper_database()
-            .relations()
-            .map(|(_, rel)| rel.schema().clone())
-            .collect::<Vec<_>>();
-        let mut store = VersionedDatabase::new(schemas).unwrap();
-        for (name, rel) in paper::paper_database().relations() {
-            for t in rel.scan() {
-                store.insert(name.as_str(), t.clone()).unwrap();
-            }
-        }
-        let v = store.commit();
-        let service = CitationService::builder()
-            .database(store.snapshot(v).unwrap())
-            .registry(paper::paper_registry())
-            .build()
-            .unwrap();
-        (store, service)
+        let store = Store::from_database(&paper::paper_database(), paper::paper_registry());
+        rebuild_from_checkpoint(&store.unwrap().checkpoint_data().unwrap()).unwrap()
     }
 
     #[test]
@@ -406,18 +374,18 @@ mod tests {
         let mut handle = DurableHandle::new(Box::new(backend.reopen()));
         service.checkpoint(&store, &mut handle).unwrap();
 
-        // Two post-checkpoint commits, logged like the serving layer
-        // does: WAL append before the ack.
+        // Two post-checkpoint commits through the serving layer's
+        // routine: WAL append before the version is cut.
         for (fid, name) in [(14, "Ghrelin"), (15, "Orexin")] {
             let mut changes = Changeset::new();
             changes
                 .insert("Family", citesys_storage::tuple![fid, name, "D"])
                 .insert("FamilyIntro", citesys_storage::tuple![fid, "intro"]);
-            let pending = service.stage_batch(&changes);
             store.apply_changeset(&changes).unwrap();
-            let v = store.commit();
-            handle.log_commit(v, &changes).unwrap();
-            service = service.with_database_delta(store.snapshot(v).unwrap(), pending);
+            let spans = &mut SpanSet::disabled();
+            let (_, carried) =
+                seal_pending(&mut store, Some(&service), Some(&mut handle), spans).unwrap();
+            service = carried.unwrap();
         }
         let expected = service.cite(&paper::paper_query()).unwrap();
 

@@ -21,8 +21,11 @@
 //! * **Rendering** ([`mod@format`]): text, BibTeX, RIS, XML, JSON.
 //! * **Fixity** ([`fixity`]): versioned citations with SHA-256 digests,
 //!   dereference and verification.
-//! * **Evolution** ([`evolve`]): cached citations with precise
-//!   invalidation under updates.
+//! * **The store** ([`store`]): citations over an evolving database —
+//!   [`Store`] owns the versioned database, registry, plan caches,
+//!   cached service and durability backend, and cuts every version
+//!   through one routine (WAL append → commit → delta-maintained
+//!   snapshot swap) shared by local commits, replicas and recovery.
 //! * **View selection** ([`select`]): covering a query workload with few
 //!   views (greedy vs exhaustive).
 //! * **The paper's running example** ([`paper`]): the GtoPdb fragment as a
@@ -63,7 +66,6 @@
 pub mod durable;
 pub mod engine;
 pub mod error;
-pub mod evolve;
 pub mod expr;
 pub mod fixity;
 pub mod format;
@@ -73,9 +75,11 @@ pub mod registry;
 pub mod select;
 pub mod service;
 pub mod snippet;
+pub mod store;
 pub mod trace;
 pub mod viewcache;
 
+pub use citesys_obs::SpanSet;
 pub use citesys_storage::{Changeset, NetChanges};
 pub use durable::{
     rebuild_from_checkpoint, DurableHandle, RecoveredService, SECTION_DATABASE, SECTION_PLANS,
@@ -85,7 +89,6 @@ pub use engine::{
     AggregateCitation, CitationMode, CitedAnswer, Coverage, EngineOptions, TupleCitation,
 };
 pub use error::CiteError;
-pub use evolve::{EvolveStats, IncrementalEngine, Transaction};
 pub use expr::{CiteAtom, CiteExpr};
 pub use fixity::{
     cite_at_version, cite_with_service, cite_with_service_spanned, dereference, verify, FixityToken,
@@ -99,5 +102,6 @@ pub use service::{
     PreparedCitation, DEFAULT_PLAN_CACHE_CAPACITY, DEFAULT_PLAN_CACHE_SHARDS,
 };
 pub use snippet::{CitationFunction, CitationQuery, CitationSnippet};
+pub use store::{AsOf, Sealed, Store, StoreError};
 pub use trace::{trace_answer, trace_tuple};
-pub use viewcache::{DeltaOp, PendingViewDelta, ViewCache, ViewCacheStats};
+pub use viewcache::{PendingViewDelta, ViewCache, ViewCacheStats};

@@ -18,7 +18,6 @@
 //!   batches. The cite read path is **lock-free**: materializations live
 //!   behind a published arc-swap snapshot pointer, so readers pay one
 //!   atomic load and only writers pay for publication. Data updates —
-//!   single tuples ([`stage_update`](CitationService::stage_update)) or
 //!   whole mixed insert/delete transactions
 //!   ([`stage_batch`](CitationService::stage_batch) with a
 //!   [`Changeset`]) — are carried into the materializations by delta
@@ -28,7 +27,7 @@
 //!
 //! **Invalidation contract**: registering a view or declaring a relation
 //! changes the rewriting space — both caches are replaced (see
-//! [`IncrementalEngine`](crate::evolve::IncrementalEngine)). Data updates
+//! [`Store`](crate::store::Store)). Data updates
 //! must invalidate **neither**: plans are data-independent, and
 //! materializations follow the data by delta.
 //!
@@ -67,7 +66,7 @@ use std::sync::Arc;
 use citesys_cq::{ConjunctiveQuery, Term, Value};
 use citesys_obs::{SpanSet, SpanTimer};
 use citesys_rewrite::{PlanParseError, RewritePlan, RewriteStats};
-use citesys_storage::{Changeset, Database, Tuple, VersionedDatabase};
+use citesys_storage::{Changeset, Database, VersionedDatabase};
 use parking_lot::{Mutex, RwLock};
 
 use crate::engine::{
@@ -78,7 +77,7 @@ use crate::error::CiteError;
 use crate::fixity::{cite_with_service, FixityToken};
 use crate::policy::PolicySet;
 use crate::registry::CitationRegistry;
-use crate::viewcache::{DeltaOp, PendingViewDelta, ViewCache, ViewCacheStats};
+use crate::viewcache::{PendingViewDelta, ViewCache, ViewCacheStats};
 
 /// Default number of distinct query signatures the plan cache retains.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
@@ -171,9 +170,8 @@ impl Shard {
 /// or an eviction takes a shard's exclusive lock, and it blocks just that
 /// shard's traffic, not the other `N − 1`.
 ///
-/// Clones of the owning service (and an
-/// [`IncrementalEngine`](crate::evolve::IncrementalEngine) built on top)
-/// share one cache through an `Arc`. LRU eviction is per shard; per-shard
+/// Clones of the owning service (and the successors a
+/// [`Store`](crate::store::Store) carries across commits) share one cache through an `Arc`. LRU eviction is per shard; per-shard
 /// hit/miss/eviction counters are exposed via [`shard_stats`]
 /// (aggregate: [`stats`]), and each served citation reports the shard that
 /// answered it in
@@ -809,9 +807,8 @@ impl std::fmt::Debug for AsOfCache {
 /// share both caches — hand one clone to each worker thread.
 ///
 /// The database snapshot is immutable for the lifetime of the service; for
-/// mutable workloads use
-/// [`IncrementalEngine`](crate::evolve::IncrementalEngine), which swaps
-/// snapshots underneath while keeping the plan cache warm.
+/// mutable workloads use a [`Store`](crate::store::Store), which carries
+/// the service across every commit with its caches warm.
 #[derive(Clone, Debug)]
 pub struct CitationService {
     db: Arc<Database>,
@@ -912,8 +909,7 @@ impl CitationService {
     /// the registry, never on data). The materialized-view cache is
     /// dropped — it does depend on data, and an arbitrary snapshot swap
     /// gives nothing to delta against. When the new snapshot differs from
-    /// the old by a known changeset (one tuple or a whole transaction),
-    /// use [`stage_update`](Self::stage_update) /
+    /// the old by a known changeset, use
     /// [`stage_batch`](Self::stage_batch) +
     /// [`with_database_delta`](Self::with_database_delta) instead to keep
     /// the materializations warm too.
@@ -929,36 +925,6 @@ impl CitationService {
         }
     }
 
-    /// Replaces this service's database reference with an empty
-    /// placeholder **without** touching the caches — crate-internal, used
-    /// by [`IncrementalEngine`](crate::evolve::IncrementalEngine) to make
-    /// its own `Arc<Database>` unique before `Arc::make_mut`, so
-    /// steady-state updates mutate in place instead of deep-cloning.
-    pub(crate) fn release_database(&mut self) {
-        self.db = Arc::new(Database::new());
-    }
-
-    /// Phase one of a delta-maintained snapshot swap for a single-tuple
-    /// update: captures the current materialized views (and, for
-    /// deletions, the at-risk view rows, which are only computable while
-    /// the tuple is still present). Call **before** mutating the
-    /// database, then apply the mutation, then finish with
-    /// [`with_database_delta`](Self::with_database_delta). A convenience
-    /// wrapper over [`stage_batch`](Self::stage_batch) with a
-    /// one-operation changeset.
-    ///
-    /// Staging clones the materializations, so services handed out
-    /// earlier keep citing their own consistent (old snapshot, old views)
-    /// pairing while the successor is prepared.
-    pub fn stage_update(&self, rel: &str, t: &Tuple, op: DeltaOp) -> PendingViewDelta {
-        let mut changes = Changeset::new();
-        match op {
-            DeltaOp::Insert => changes.insert(rel, t.clone()),
-            DeltaOp::Delete => changes.delete(rel, t.clone()),
-        };
-        self.stage_batch(&changes)
-    }
-
     /// Phase one of a delta-maintained snapshot swap for a whole
     /// transaction: normalizes `changes` against this service's snapshot
     /// into its **net** effect (in-batch cancellations, re-inserts of
@@ -968,6 +934,10 @@ impl CitationService {
     /// then finish with [`with_database_delta`](Self::with_database_delta)
     /// — the whole batch lands in **one** snapshot swap instead of N
     /// single-tuple swaps.
+    ///
+    /// Staging clones the materializations, so services handed out
+    /// earlier keep citing their own consistent (old snapshot, old views)
+    /// pairing while the successor is prepared.
     pub fn stage_batch(&self, changes: &Changeset) -> PendingViewDelta {
         self.views.stage_batch(&self.registry, &self.db, changes)
     }
@@ -1268,9 +1238,8 @@ impl CitationService {
 /// [`execute`](Self::execute) skips the rewriting search entirely — its
 /// [`CitedAnswer::rewrite_stats`] always report `plan_cache_hits == 1` and
 /// zero search effort. The handle snapshots the service's database; data
-/// updates happen through
-/// [`IncrementalEngine`](crate::evolve::IncrementalEngine), which
-/// re-prepares cheaply thanks to the shared plan cache.
+/// updates happen through a [`Store`](crate::store::Store), whose
+/// services re-prepare cheaply thanks to the shared plan cache.
 #[derive(Clone, Debug)]
 pub struct PreparedCitation {
     service: CitationService,

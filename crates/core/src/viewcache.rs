@@ -30,8 +30,7 @@
 //! Updates are staged in two phases because deletion deltas need the
 //! database **before** the change while insertion deltas need it **after**:
 //! [`CitationService::stage_batch`](crate::CitationService::stage_batch)
-//! (or single-tuple
-//! [`stage_update`](crate::CitationService::stage_update)) normalizes the
+//! normalizes the
 //! changeset against the pre-update state into its net effect and captures
 //! the at-risk view rows, the caller mutates the base database, and
 //! [`CitationService::with_database_delta`](crate::CitationService::with_database_delta)
@@ -52,16 +51,6 @@ use parking_lot::Mutex;
 
 use crate::error::CiteError;
 use crate::registry::CitationRegistry;
-
-/// Which kind of single-tuple data update a staged view delta carries
-/// (the single-tuple convenience surface over [`Changeset`] staging).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DeltaOp {
-    /// A tuple was inserted into a base relation.
-    Insert,
-    /// A tuple was deleted from a base relation.
-    Delete,
-}
 
 /// Counter snapshot for a service's materialized-view cache. Counters are
 /// carried across delta-maintained snapshot swaps (successor caches share

@@ -5,32 +5,46 @@
 //! delete of an absent tuple) are all equivalent to full recomputation
 //! and cost no delta work when they net to nothing.
 
-use std::sync::Arc;
-
 use citesys_core::paper;
 use citesys_core::{
-    Changeset, CitationMode, CitationService, CitedAnswer, EngineOptions, IncrementalEngine,
+    Changeset, CitationMode, CitationService, CitedAnswer, EngineOptions, SpanSet, Store,
+    StoreError,
 };
 use citesys_cq::ConjunctiveQuery;
 use citesys_storage::tuple;
 
-fn engine() -> IncrementalEngine {
-    IncrementalEngine::new(
-        paper::paper_database(),
-        paper::paper_registry(),
-        EngineOptions {
-            mode: CitationMode::Formal,
-            ..Default::default()
-        },
-    )
+fn engine() -> Store {
+    Store::from_database(&paper::paper_database(), paper::paper_registry()).unwrap()
 }
 
-/// Cites `q` with a cold service over the engine's current database —
+/// Cites `q` (formal mode) on the store's service at its latest version.
+fn cite(e: &mut Store, q: &ConjunctiveQuery) -> CitedAnswer {
+    let options = EngineOptions {
+        mode: CitationMode::Formal,
+        ..Default::default()
+    };
+    let version = e.latest_version();
+    e.service_at(version, options).unwrap().0.cite(q).unwrap()
+}
+
+/// Applies `changes` as one transaction and seals it as one version;
+/// returns how many ops changed data.
+fn commit(e: &mut Store, changes: &Changeset) -> Result<usize, StoreError> {
+    let applied = e.apply(changes)?;
+    e.seal(&mut SpanSet::disabled())?;
+    Ok(applied)
+}
+
+fn total_tuples(e: &Store) -> usize {
+    e.database().unwrap().current().total_tuples()
+}
+
+/// Cites `q` with a cold service over the store's current database —
 /// the full-recompute ground truth a delta-maintained answer must match.
-fn recompute(e: &IncrementalEngine, q: &ConjunctiveQuery) -> CitedAnswer {
+fn recompute(e: &Store, q: &ConjunctiveQuery) -> CitedAnswer {
     CitationService::builder()
-        .database(e.db().clone())
-        .registry(Arc::clone(e.snapshot_service().registry()))
+        .database(e.database().unwrap().current().clone())
+        .registry(e.registry().clone())
         .mode(CitationMode::Formal)
         .build()
         .unwrap()
@@ -38,8 +52,8 @@ fn recompute(e: &IncrementalEngine, q: &ConjunctiveQuery) -> CitedAnswer {
         .unwrap()
 }
 
-fn assert_matches_recompute(e: &mut IncrementalEngine, q: &ConjunctiveQuery) {
-    let cached = e.cite(q).unwrap();
+fn assert_matches_recompute(e: &mut Store, q: &ConjunctiveQuery) {
+    let cached = cite(e, q);
     let fresh = recompute(e, q);
     assert_eq!(cached.answer, fresh.answer);
     let cached_exprs: Vec<String> = cached.tuples.iter().map(|t| t.expr().to_string()).collect();
@@ -51,8 +65,8 @@ fn assert_matches_recompute(e: &mut IncrementalEngine, q: &ConjunctiveQuery) {
 fn mixed_batch_is_one_snapshot_swap() {
     let mut e = engine();
     let q = paper::paper_query();
-    e.cite(&q).unwrap();
-    let warm = e.view_cache_stats();
+    cite(&mut e, &q);
+    let warm = e.view_cache_stats().unwrap();
     assert_eq!(warm.materializations, 3, "{warm:?}");
 
     // One transaction touching FamilyIntro twice (insert + delete) and
@@ -64,9 +78,9 @@ fn mixed_batch_is_one_snapshot_swap() {
         .insert("FamilyIntro", tuple![13, "3rd"])
         .delete("FamilyIntro", tuple![12, "2nd"])
         .insert("Committee", tuple![13, "Dan"]);
-    assert_eq!(e.apply(&changes).unwrap(), 3);
+    assert_eq!(commit(&mut e, &changes).unwrap(), 3);
 
-    let s = e.view_cache_stats();
+    let s = e.view_cache_stats().unwrap();
     assert_eq!(s.materializations, 3, "nothing re-materialized: {s:?}");
     assert_eq!(s.deltas_applied - warm.deltas_applied, 1, "{s:?}");
     assert_eq!(s.untouched - warm.untouched, 2, "{s:?}");
@@ -75,7 +89,7 @@ fn mixed_batch_is_one_snapshot_swap() {
     // The maintained answer equals full recomputation, and the plan
     // survived the swap.
     assert_matches_recompute(&mut e, &q);
-    let cited = e.cite(&q).unwrap();
+    let cited = cite(&mut e, &q);
     assert_eq!(cited.answer.len(), 2, "Dopamine in, Calcitonin-2nd out");
 }
 
@@ -83,34 +97,36 @@ fn mixed_batch_is_one_snapshot_swap() {
 fn transaction_builder_commits_as_one_batch() {
     let mut e = engine();
     let q = paper::paper_query();
-    e.cite(&q).unwrap();
-    let before = e.view_cache_stats();
+    cite(&mut e, &q);
+    let before = e.view_cache_stats().unwrap();
 
-    let mut txn = e.begin();
-    txn.insert("FamilyIntro", tuple![13, "3rd"]);
-    txn.delete("Committee", tuple![12, "Carol"]);
-    assert_eq!(txn.changes().len(), 2);
-    assert_eq!(txn.commit().unwrap(), 2);
+    let mut txn = Changeset::new();
+    txn.insert("FamilyIntro", tuple![13, "3rd"])
+        .delete("Committee", tuple![12, "Carol"]);
+    assert_eq!(txn.len(), 2);
+    assert_eq!(commit(&mut e, &txn).unwrap(), 2);
 
-    let s = e.view_cache_stats();
+    let s = e.view_cache_stats().unwrap();
     assert_eq!(s.deltas_applied - before.deltas_applied, 1, "{s:?}");
     assert_matches_recompute(&mut e, &q);
 
-    // Dropping an uncommitted transaction changes nothing.
-    let total = e.db().total_tuples();
-    {
-        let mut txn = e.begin();
-        txn.insert("Committee", tuple![11, "Never"]);
-    }
-    assert_eq!(e.db().total_tuples(), total);
+    // An applied but unsealed transaction is invisible to cites, and
+    // discarding it restores the committed state.
+    let total = total_tuples(&e);
+    let mut txn = Changeset::new();
+    txn.insert("Committee", tuple![11, "Never"]);
+    e.apply(&txn).unwrap();
+    assert!(e.committed_version().is_err(), "pending ops block cites");
+    e.database_mut().unwrap().discard_pending();
+    assert_eq!(total_tuples(&e), total);
 }
 
 #[test]
 fn delete_then_reinsert_in_one_batch_nets_to_nothing() {
     let mut e = engine();
     let q = paper::paper_query();
-    e.cite(&q).unwrap();
-    let before = e.view_cache_stats();
+    cite(&mut e, &q);
+    let before = e.view_cache_stats().unwrap();
 
     // FamilyIntro(11, '1st') exists: delete + reinsert inside one batch
     // must leave the database — and the materializations — untouched,
@@ -119,9 +135,13 @@ fn delete_then_reinsert_in_one_batch_nets_to_nothing() {
     changes
         .delete("FamilyIntro", tuple![11, "1st"])
         .insert("FamilyIntro", tuple![11, "1st"]);
-    assert_eq!(e.apply(&changes).unwrap(), 2, "both ops were effective");
+    assert_eq!(
+        commit(&mut e, &changes).unwrap(),
+        2,
+        "both ops were effective"
+    );
 
-    let s = e.view_cache_stats();
+    let s = e.view_cache_stats().unwrap();
     assert_eq!(s.deltas_applied, before.deltas_applied, "no delta: {s:?}");
     assert_eq!(s.untouched - before.untouched, 3, "all views verbatim");
     assert_eq!(s.materializations, before.materializations);
@@ -132,23 +152,23 @@ fn delete_then_reinsert_in_one_batch_nets_to_nothing() {
 fn insert_of_present_tuple_is_a_noop_without_delta_work() {
     let mut e = engine();
     let q = paper::paper_query();
-    e.cite(&q).unwrap();
-    let before = e.view_cache_stats();
+    cite(&mut e, &q);
+    let before = e.view_cache_stats().unwrap();
 
     // The tuple is already there: the batch nets to nothing, so even the
     // views whose bodies mention FamilyIntro are carried verbatim.
     let mut changes = Changeset::new();
     changes.insert("FamilyIntro", tuple![11, "1st"]);
-    assert_eq!(e.apply(&changes).unwrap(), 0, "set-semantics no-op");
+    assert_eq!(commit(&mut e, &changes).unwrap(), 0, "set-semantics no-op");
 
-    let s = e.view_cache_stats();
+    let s = e.view_cache_stats().unwrap();
     assert_eq!(s.deltas_applied, before.deltas_applied, "{s:?}");
     assert_eq!(s.untouched - before.untouched, 3, "{s:?}");
     assert_matches_recompute(&mut e, &q);
 
-    // Same through the single-tuple convenience API.
-    assert!(!e.insert("FamilyIntro", tuple![11, "1st"]).unwrap());
-    let s2 = e.view_cache_stats();
+    // Same again as its own commit.
+    assert_eq!(commit(&mut e, &changes).unwrap(), 0);
+    let s2 = e.view_cache_stats().unwrap();
     assert_eq!(s2.deltas_applied, s.deltas_applied, "{s2:?}");
     assert_matches_recompute(&mut e, &q);
 }
@@ -157,14 +177,14 @@ fn insert_of_present_tuple_is_a_noop_without_delta_work() {
 fn delete_of_absent_tuple_is_a_noop_without_delta_work() {
     let mut e = engine();
     let q = paper::paper_query();
-    e.cite(&q).unwrap();
-    let before = e.view_cache_stats();
+    cite(&mut e, &q);
+    let before = e.view_cache_stats().unwrap();
 
     let mut changes = Changeset::new();
     changes.delete("FamilyIntro", tuple![99, "ghost"]);
-    assert_eq!(e.apply(&changes).unwrap(), 0);
+    assert_eq!(commit(&mut e, &changes).unwrap(), 0);
 
-    let s = e.view_cache_stats();
+    let s = e.view_cache_stats().unwrap();
     assert_eq!(s.deltas_applied, before.deltas_applied, "{s:?}");
     assert_eq!(s.untouched - before.untouched, 3, "{s:?}");
     assert_matches_recompute(&mut e, &q);
@@ -174,8 +194,8 @@ fn delete_of_absent_tuple_is_a_noop_without_delta_work() {
 fn failed_batch_rolls_back_and_keeps_engine_usable() {
     let mut e = engine();
     let q = paper::paper_query();
-    e.cite(&q).unwrap();
-    let total = e.db().total_tuples();
+    cite(&mut e, &q);
+    let total = total_tuples(&e);
 
     // Second op violates Family's key: the first (valid) op must be
     // rolled back with it.
@@ -183,12 +203,13 @@ fn failed_batch_rolls_back_and_keeps_engine_usable() {
     changes
         .insert("FamilyIntro", tuple![13, "3rd"])
         .insert("Family", tuple![11, "Clash", "X"]);
-    assert!(e.apply(&changes).is_err());
-    assert_eq!(e.db().total_tuples(), total, "batch fully rolled back");
+    assert!(commit(&mut e, &changes).is_err());
+    assert_eq!(total_tuples(&e), total, "batch fully rolled back");
+    assert_eq!(e.latest_version(), 1, "no version cut");
 
-    // The engine still cites correctly against the unchanged data.
+    // The store still cites correctly against the unchanged data.
     assert_matches_recompute(&mut e, &q);
-    assert_eq!(e.cite(&q).unwrap().answer.len(), 1);
+    assert_eq!(cite(&mut e, &q).answer.len(), 1);
 }
 
 #[test]
@@ -199,26 +220,23 @@ fn batch_equals_sequence_of_single_updates() {
     let q = paper::paper_query();
 
     let mut batched = engine();
-    batched.cite(&q).unwrap();
+    cite(&mut batched, &q);
     let mut changes = Changeset::new();
     changes
         .insert("FamilyIntro", tuple![13, "3rd"])
         .insert("Family", tuple![14, "Ghrelin", "G1"])
         .insert("FamilyIntro", tuple![14, "4th"])
         .delete("Committee", tuple![11, "Bob"]);
-    batched.apply(&changes).unwrap();
+    commit(&mut batched, &changes).unwrap();
 
     let mut sequential = engine();
-    sequential.cite(&q).unwrap();
-    sequential.insert("FamilyIntro", tuple![13, "3rd"]).unwrap();
-    sequential
-        .insert("Family", tuple![14, "Ghrelin", "G1"])
-        .unwrap();
-    sequential.insert("FamilyIntro", tuple![14, "4th"]).unwrap();
-    sequential.delete("Committee", &tuple![11, "Bob"]).unwrap();
+    cite(&mut sequential, &q);
+    for op in changes.ops() {
+        commit(&mut sequential, &Changeset::from_ops(vec![op.clone()])).unwrap();
+    }
 
-    let a = batched.cite(&q).unwrap();
-    let b = sequential.cite(&q).unwrap();
+    let a = cite(&mut batched, &q);
+    let b = cite(&mut sequential, &q);
     assert_eq!(a.answer, b.answer);
     let ax: Vec<String> = a.tuples.iter().map(|t| t.expr().to_string()).collect();
     let bx: Vec<String> = b.tuples.iter().map(|t| t.expr().to_string()).collect();
@@ -227,8 +245,8 @@ fn batch_equals_sequence_of_single_updates() {
     // Fewer delta applications for the batch: one per affected view
     // (V1/V2 via Family, V3 via FamilyIntro = 3) versus one per affected
     // view per update for the sequence.
-    let sb = batched.view_cache_stats();
-    let ss = sequential.view_cache_stats();
+    let sb = batched.view_cache_stats().unwrap();
+    let ss = sequential.view_cache_stats().unwrap();
     assert_eq!(sb.deltas_applied, 3, "{sb:?}");
     assert!(ss.deltas_applied > sb.deltas_applied, "{ss:?} vs {sb:?}");
 }

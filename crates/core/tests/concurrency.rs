@@ -6,100 +6,58 @@
 use std::sync::{Arc, Mutex};
 
 use citesys_core::paper;
-use citesys_core::{CitationMode, CitationService, EngineOptions, IncrementalEngine};
-use citesys_cq::parse_query;
-use citesys_storage::tuple;
+use citesys_core::{
+    Changeset, CitationMode, CitationService, CitedAnswer, EngineOptions, SpanSet, Store,
+};
+use citesys_cq::{parse_query, ConjunctiveQuery};
+use citesys_storage::{tuple, Tuple};
 
-fn engine() -> IncrementalEngine {
-    IncrementalEngine::new(
-        paper::paper_database(),
-        paper::paper_registry(),
-        EngineOptions {
-            mode: CitationMode::Formal,
-            ..Default::default()
-        },
-    )
+fn engine() -> Store {
+    Store::from_database(&paper::paper_database(), paper::paper_registry()).unwrap()
+}
+
+/// The store's (formal-mode) service at its latest version — what a
+/// server hands its readers.
+fn service(e: &mut Store) -> CitationService {
+    let options = EngineOptions {
+        mode: CitationMode::Formal,
+        ..Default::default()
+    };
+    let version = e.latest_version();
+    e.service_at(version, options).unwrap().0
+}
+
+fn cite(e: &mut Store, q: &ConjunctiveQuery) -> CitedAnswer {
+    service(e).cite(q).unwrap()
+}
+
+/// Commits `ops` — `(insert?, relation, tuple)` — as one transaction.
+fn commit(e: &mut Store, ops: &[(bool, &str, Tuple)]) {
+    let mut changes = Changeset::new();
+    for (insert, rel, t) in ops {
+        if *insert {
+            changes.insert(rel, t.clone());
+        } else {
+            changes.delete(rel, t.clone());
+        }
+    }
+    e.apply(&changes).unwrap();
+    e.seal(&mut SpanSet::disabled()).unwrap();
 }
 
 /// Readers cite the latest published snapshot service while the writer
-/// flips `FamilyIntro(13, '3rd')` in and out. Every observed answer must
-/// be exactly one of the two valid states — one tuple (no intro for
+/// flips `txn` in and out, one commit at a time, republishing the
+/// delta-maintained service after each. Every observed answer must be
+/// exactly one of the two valid states — one tuple (no intro for
 /// Dopamine) or two tuples — and every answer tuple must carry a complete
 /// citation. A reader that mixed an old view materialization with a new
-/// base snapshot (or vice versa) would produce a two-tuple answer with a
-/// citation-less tuple, or tuple/citation counts that disagree.
-#[test]
-fn cite_racing_update_sees_old_or_new_never_a_mix() {
+/// base snapshot (or vice versa), or saw half a transaction, would get a
+/// citation-less tuple or tuple/citation counts that disagree.
+fn assert_readers_see_whole_commits(commits: usize, txn: &[(&str, Tuple)]) {
     let mut engine = engine();
     let q = paper::paper_query();
-    engine.cite(&q).unwrap();
-    let published: Arc<Mutex<CitationService>> = Arc::new(Mutex::new(engine.snapshot_service()));
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-
-    std::thread::scope(|scope| {
-        let mut readers = Vec::new();
-        for _ in 0..4 {
-            let published = Arc::clone(&published);
-            let stop = Arc::clone(&stop);
-            let q = q.clone();
-            readers.push(scope.spawn(move || {
-                let mut seen_old = 0usize;
-                let mut seen_new = 0usize;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let svc = published.lock().unwrap().clone();
-                    let cited = svc.cite(&q).expect("coverable in every snapshot");
-                    // Consistency: one citation per answer tuple, each
-                    // complete, and the answer is a valid snapshot state.
-                    assert_eq!(cited.tuples.len(), cited.answer.len());
-                    for t in &cited.tuples {
-                        assert!(
-                            !t.atoms.is_empty(),
-                            "tuple {:?} lost its citation: old views with new data?",
-                            t.tuple
-                        );
-                        assert!(!t.snippets.is_empty());
-                    }
-                    match cited.answer.len() {
-                        1 => seen_old += 1,
-                        2 => seen_new += 1,
-                        n => panic!("impossible answer size {n}: not a snapshot state"),
-                    }
-                }
-                (seen_old, seen_new)
-            }));
-        }
-
-        // The writer: 60 updates alternating insert/delete, republishing
-        // the delta-maintained snapshot service after each.
-        for i in 0..60 {
-            if i % 2 == 0 {
-                engine.insert("FamilyIntro", tuple![13, "3rd"]).unwrap();
-            } else {
-                engine.delete("FamilyIntro", &tuple![13, "3rd"]).unwrap();
-            }
-            *published.lock().unwrap() = engine.snapshot_service();
-            std::thread::yield_now();
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for r in readers {
-            let (old, new) = r.join().expect("reader panicked");
-            assert!(old + new > 0, "reader observed nothing");
-        }
-    });
-}
-
-/// The snapshot-consistency race, transactional edition: the writer
-/// flips a (Family intro, Committee membership) pair in and out with
-/// two-op batches through `IncrementalEngine::apply`, so each publish is
-/// exactly one snapshot swap covering both tuples. Readers on the
-/// lock-free published-snapshot path must still observe only the two
-/// valid states — never a half-applied batch.
-#[test]
-fn cite_racing_batch_updates_sees_whole_transactions() {
-    let mut engine = engine();
-    let q = paper::paper_query();
-    engine.cite(&q).unwrap();
-    let published: Arc<Mutex<CitationService>> = Arc::new(Mutex::new(engine.snapshot_service()));
+    cite(&mut engine, &q);
+    let published: Arc<Mutex<CitationService>> = Arc::new(Mutex::new(service(&mut engine)));
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
     std::thread::scope(|scope| {
@@ -115,14 +73,15 @@ fn cite_racing_batch_updates_sees_whole_transactions() {
                     let cited = svc.cite(&q).expect("coverable in every snapshot");
                     assert_eq!(cited.tuples.len(), cited.answer.len());
                     for t in &cited.tuples {
-                        assert!(!t.atoms.is_empty(), "half-applied batch observed");
+                        assert!(
+                            !t.atoms.is_empty() && !t.snippets.is_empty(),
+                            "tuple {:?} lost its citation: old views with new data?",
+                            t.tuple
+                        );
                     }
-                    // With the intro present the answer has 2 tuples, and
-                    // the batch also added Eve to committee 13; without it,
-                    // 1 tuple. Nothing in between is a snapshot state.
                     assert!(
                         matches!(cited.answer.len(), 1 | 2),
-                        "impossible answer size {}",
+                        "impossible answer size {}: not a snapshot state",
                         cited.answer.len()
                     );
                     observed += 1;
@@ -131,24 +90,42 @@ fn cite_racing_batch_updates_sees_whole_transactions() {
             }));
         }
 
-        for i in 0..40 {
-            let mut txn = engine.begin();
-            if i % 2 == 0 {
-                txn.insert("FamilyIntro", citesys_storage::tuple![13, "3rd"]);
-                txn.insert("Committee", citesys_storage::tuple![13, "Eve"]);
-            } else {
-                txn.delete("FamilyIntro", citesys_storage::tuple![13, "3rd"]);
-                txn.delete("Committee", citesys_storage::tuple![13, "Eve"]);
-            }
-            txn.commit().unwrap();
-            *published.lock().unwrap() = engine.snapshot_service();
+        for i in 0..commits {
+            let ops: Vec<_> = txn
+                .iter()
+                .map(|(rel, t)| (i % 2 == 0, *rel, t.clone()))
+                .collect();
+            commit(&mut engine, &ops);
+            *published.lock().unwrap() = service(&mut engine);
             std::thread::yield_now();
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         for r in readers {
-            assert!(r.join().expect("reader panicked") > 0);
+            assert!(
+                r.join().expect("reader panicked") > 0,
+                "reader observed nothing"
+            );
         }
     });
+}
+
+#[test]
+fn cite_racing_update_sees_old_or_new_never_a_mix() {
+    assert_readers_see_whole_commits(60, &[("FamilyIntro", tuple![13, "3rd"])]);
+}
+
+/// The transactional edition: each commit flips a (Family intro,
+/// Committee membership) pair, so each publish is exactly one snapshot
+/// swap covering both tuples — never a half-applied batch.
+#[test]
+fn cite_racing_batch_updates_sees_whole_transactions() {
+    assert_readers_see_whole_commits(
+        40,
+        &[
+            ("FamilyIntro", tuple![13, "3rd"]),
+            ("Committee", tuple![13, "Eve"]),
+        ],
+    );
 }
 
 /// The acceptance assertion for the delta-maintained caches, via
@@ -161,22 +138,22 @@ fn cite_racing_batch_updates_sees_whole_transactions() {
 fn data_update_keeps_plans_and_unaffected_views_warm() {
     let mut e = engine();
     let q = paper::paper_query();
-    e.cite(&q).unwrap();
+    cite(&mut e, &q);
     // Formal mode evaluates both rewritings: V1, V2, V3 all materialized.
-    let warm = e.view_cache_stats();
+    let warm = e.view_cache_stats().unwrap();
     assert_eq!(warm.materializations, 3, "{warm:?}");
     assert_eq!(warm.drops, 0);
 
     // Committee appears in no view *body* (only in CV1's citation query):
     // the update touches no materialized view.
-    e.insert("Committee", tuple![11, "Eve"]).unwrap();
-    let cited = e.cite(&q).unwrap();
+    commit(&mut e, &[(true, "Committee", tuple![11, "Eve"])]);
+    let cited = cite(&mut e, &q);
     assert_eq!(
         cited.rewrite_stats.plan_cache_hits, 1,
         "data update must not zero plan_cache_hits"
     );
     assert_eq!(cited.rewrite_stats.search_effort(), 0);
-    let s = e.view_cache_stats();
+    let s = e.view_cache_stats().unwrap();
     assert_eq!(
         s.materializations, 3,
         "no view re-materialized by the update: {s:?}"
@@ -187,18 +164,18 @@ fn data_update_keeps_plans_and_unaffected_views_warm() {
 
     // FamilyIntro is V3's body: that one view gets delta rows, the other
     // two are again untouched — still zero re-materializations.
-    e.insert("FamilyIntro", tuple![13, "3rd"]).unwrap();
-    let cited = e.cite(&q).unwrap();
+    commit(&mut e, &[(true, "FamilyIntro", tuple![13, "3rd"])]);
+    let cited = cite(&mut e, &q);
     assert_eq!(cited.answer.len(), 2, "new intro visible through the delta");
     assert_eq!(cited.rewrite_stats.plan_cache_hits, 1);
-    let s = e.view_cache_stats();
+    let s = e.view_cache_stats().unwrap();
     assert_eq!(s.materializations, 3, "{s:?}");
     assert_eq!(s.deltas_applied, 1, "V3 delta-maintained: {s:?}");
     assert_eq!(s.untouched, 5, "{s:?}");
     assert_eq!(s.drops, 0, "{s:?}");
 
     // Plan-cache hit counters accumulate across updates too.
-    assert!(e.snapshot_service().plan_cache_stats().hits >= 2);
+    assert!(e.plan_cache_stats().hits >= 2);
 }
 
 /// Deletions are delta-maintained as well, including rows kept alive by
@@ -207,14 +184,14 @@ fn data_update_keeps_plans_and_unaffected_views_warm() {
 fn delete_delta_maintains_views() {
     let mut e = engine();
     let q = paper::paper_query();
-    assert_eq!(e.cite(&q).unwrap().answer.len(), 1);
-    e.insert("FamilyIntro", tuple![13, "3rd"]).unwrap();
-    assert_eq!(e.cite(&q).unwrap().answer.len(), 2);
-    e.delete("FamilyIntro", &tuple![13, "3rd"]).unwrap();
-    let cited = e.cite(&q).unwrap();
+    assert_eq!(cite(&mut e, &q).answer.len(), 1);
+    commit(&mut e, &[(true, "FamilyIntro", tuple![13, "3rd"])]);
+    assert_eq!(cite(&mut e, &q).answer.len(), 2);
+    commit(&mut e, &[(false, "FamilyIntro", tuple![13, "3rd"])]);
+    let cited = cite(&mut e, &q);
     assert_eq!(cited.answer.len(), 1, "deletion visible through the delta");
     assert_eq!(cited.rewrite_stats.plan_cache_hits, 1);
-    let s = e.view_cache_stats();
+    let s = e.view_cache_stats().unwrap();
     assert_eq!(s.materializations, 3, "never re-materialized: {s:?}");
     assert_eq!(s.deltas_applied, 2, "insert + delete deltas on V3: {s:?}");
 }

@@ -1,16 +1,16 @@
-//! Property tests for plan-cache invalidation: a service/incremental
-//! engine that caches rewrite plans (and cited answers) must never serve a
-//! stale result — after any interleaving of prepares, cites, data updates
-//! and view registrations, `cite()` must equal a from-scratch computation
-//! over the current state.
+//! Property tests for plan-cache invalidation: a service/store that
+//! caches rewrite plans and materialized views must never serve a stale
+//! result — after any interleaving of prepares, cites, commits and view
+//! registrations, `cite()` must equal a from-scratch computation over
+//! the current state.
 
 use citesys_core::paper;
 use citesys_core::{
-    CitationFunction, CitationQuery, CitationRegistry, CitationService, CitationView, CitedAnswer,
-    EngineOptions, IncrementalEngine,
+    Changeset, CitationFunction, CitationQuery, CitationRegistry, CitationService, CitationView,
+    CitedAnswer, EngineOptions, SpanSet, Store,
 };
 use citesys_cq::parse_query;
-use citesys_storage::{tuple, Database};
+use citesys_storage::{tuple, Database, Tuple};
 use proptest::prelude::*;
 
 /// One step of a randomized session.
@@ -56,6 +56,46 @@ fn v1_view() -> CitationView {
     paper::paper_registry().get("V1").unwrap().clone()
 }
 
+fn committee_view() -> CitationView {
+    CitationView::new(
+        parse_query("VC(F, P) :- Committee(F, P)").unwrap(),
+        vec![CitationQuery::new(
+            parse_query("CVC(D) :- D = 'committee'").unwrap(),
+        )],
+        CitationFunction::new(),
+    )
+    .unwrap()
+}
+
+/// The paper's data committed as version 1 under `registry`.
+fn paper_store(registry: CitationRegistry) -> Store {
+    Store::from_database(&paper::paper_database(), registry).unwrap()
+}
+
+/// The store's service at its latest version.
+fn service(store: &mut Store) -> CitationService {
+    let version = store.latest_version();
+    store
+        .service_at(version, EngineOptions::default())
+        .unwrap()
+        .0
+}
+
+/// Commits one insert or delete; `false` when the store refused it.
+fn commit(store: &mut Store, insert: bool, rel: &str, t: Tuple) -> bool {
+    let mut changes = Changeset::new();
+    if insert {
+        changes.insert(rel, t);
+    } else {
+        changes.delete(rel, t);
+    }
+    let accepted = store.apply(&changes).is_ok();
+    if accepted {
+        store.seal(&mut SpanSet::disabled()).unwrap();
+    }
+    accepted
+}
+
 /// From-scratch reference: a fresh service (empty caches) over a copy of
 /// the current database and registry.
 fn fresh_cite(db: &Database, registry: &CitationRegistry) -> CitedAnswer {
@@ -88,66 +128,61 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The headline invariant: prepared-then-updated equals fresh.
-    /// After ANY op sequence, the incremental engine (warm plan cache,
-    /// pattern-based citation invalidation) agrees with a from-scratch
-    /// service on the current data.
+    /// After ANY op sequence, the store (warm plan cache, delta-maintained
+    /// views) agrees with a from-scratch service on the current data.
     #[test]
     fn incremental_engine_never_serves_stale_results(ops in prop::collection::vec(op(), 1..25)) {
-        let mut engine = IncrementalEngine::new(
-            paper::paper_database(),
-            base_registry(),
-            EngineOptions::default(),
-        );
-        // Mirror of the engine's state for the from-scratch reference.
+        let mut store = paper_store(base_registry());
+        // Mirror of the store's state for the from-scratch reference.
         let mut mirror_db = paper::paper_database();
         let mut mirror_reg = base_registry();
         let mut v1_registered = false;
 
         // Warm both caches before any update.
-        engine.cite(&paper::paper_query()).unwrap();
+        service(&mut store).cite(&paper::paper_query()).unwrap();
 
         for op in ops {
             match op {
                 Op::InsertFamily(id, n) => {
                     // Family's key on FID rejects a second name for the
-                    // same id — the engine and the mirror must agree on
+                    // same id — the store and the mirror must agree on
                     // acceptance either way.
                     let t = tuple![id, format!("Name{n}"), "Desc"];
-                    let accepted = engine.insert("Family", t.clone()).is_ok();
+                    let accepted = commit(&mut store, true, "Family", t.clone());
                     let mirrored = mirror_db.insert("Family", t).is_ok();
                     prop_assert_eq!(accepted, mirrored, "key-violation disagreement");
                 }
                 Op::InsertIntro(id) => {
                     let t = tuple![id, "Intro"];
-                    engine.insert("FamilyIntro", t.clone()).unwrap();
+                    prop_assert!(commit(&mut store, true, "FamilyIntro", t.clone()));
                     mirror_db.insert("FamilyIntro", t).unwrap();
                 }
                 Op::DeleteIntro(id) => {
                     let t = tuple![id, "Intro"];
-                    engine.delete("FamilyIntro", &t).unwrap();
+                    prop_assert!(commit(&mut store, false, "FamilyIntro", t.clone()));
                     mirror_db.delete("FamilyIntro", &t).unwrap();
                 }
                 Op::InsertCommittee(id, n) => {
                     let t = tuple![id, format!("Person{n}")];
-                    engine.insert("Committee", t.clone()).unwrap();
+                    prop_assert!(commit(&mut store, true, "Committee", t.clone()));
                     mirror_db.insert("Committee", t).unwrap();
                 }
                 Op::Cite => {
-                    let cached = engine.cite(&paper::paper_query()).unwrap();
+                    let cached = service(&mut store).cite(&paper::paper_query()).unwrap();
                     let fresh = fresh_cite(&mirror_db, &mirror_reg);
                     assert_equivalent(&cached, &fresh)?;
                 }
                 Op::RegisterV1 => {
                     if !v1_registered {
-                        engine.register_view(v1_view()).unwrap();
+                        store.register_view(v1_view(), &mut SpanSet::disabled()).unwrap();
                         mirror_reg.add(v1_view()).unwrap();
                         v1_registered = true;
                     }
                 }
             }
             // The invariant must hold after EVERY op, not just explicit
-            // cites — this is what catches a stale plan or citation.
-            let cached = engine.cite(&paper::paper_query()).unwrap();
+            // cites — this is what catches a stale plan or view.
+            let cached = service(&mut store).cite(&paper::paper_query()).unwrap();
             let fresh = fresh_cite(&mirror_db, &mirror_reg);
             assert_equivalent(&cached, &fresh)?;
         }
@@ -160,21 +195,14 @@ proptest! {
     /// across a view registration).
     #[test]
     fn prepared_handles_respect_snapshots(intros in prop::collection::btree_set(0i64..6, 0..5)) {
-        let mut engine = IncrementalEngine::new(
-            paper::paper_database(),
-            base_registry(),
-            EngineOptions::default(),
-        );
-        let old_db = engine.db().clone();
-        let prepared = engine
-            .snapshot_service()
-            .prepare(&paper::paper_query())
-            .unwrap();
+        let mut store = paper_store(base_registry());
+        let old_db = paper::paper_database();
+        let prepared = service(&mut store).prepare(&paper::paper_query()).unwrap();
 
         for id in &intros {
-            engine.insert("FamilyIntro", tuple![*id, "Intro"]).unwrap();
+            prop_assert!(commit(&mut store, true, "FamilyIntro", tuple![*id, "Intro"]));
         }
-        engine.register_view(v1_view()).unwrap();
+        store.register_view(v1_view(), &mut SpanSet::disabled()).unwrap();
 
         // The old handle still answers over the old snapshot.
         let old_fresh = fresh_cite(&old_db, &base_registry());
@@ -183,11 +211,9 @@ proptest! {
         prop_assert_eq!(via_handle.rewrite_stats.search_effort(), 0);
 
         // A new handle sees the new data AND the new view.
-        let new_handle = engine
-            .snapshot_service()
-            .prepare(&paper::paper_query())
-            .unwrap();
-        let new_fresh = fresh_cite(engine.db(), &paper::paper_registry());
+        let new_handle = service(&mut store).prepare(&paper::paper_query()).unwrap();
+        let current = store.database().unwrap().current();
+        let new_fresh = fresh_cite(current, &paper::paper_registry());
         let via_new = new_handle.execute().unwrap();
         assert_equivalent(&via_new, &new_fresh)?;
         prop_assert_eq!(
@@ -227,36 +253,23 @@ proptest! {
 
 #[test]
 fn stale_service_clone_cannot_poison_the_plan_cache() {
-    // Regression: a snapshot_service() clone taken BEFORE register_view
-    // must not be able to write its old-registry plans back into the
-    // cache the engine now reads (they share an Arc only until the view
-    // registration swaps in a fresh cache).
-    let mut engine = IncrementalEngine::new(
-        paper::paper_database(),
-        base_registry(),
-        EngineOptions::default(),
-    );
+    // Regression: a service clone taken BEFORE register_view must not be
+    // able to write its old-registry plans back into the cache the store
+    // now reads (they share an Arc only until the view registration
+    // swaps in a fresh cache).
+    let mut store = paper_store(base_registry());
     let q = parse_query("Q(P) :- Committee(F, P)").unwrap();
-    let old_svc = engine.snapshot_service();
-    assert!(engine.cite(&q).is_err(), "uncoverable before the view");
-    engine
-        .register_view(
-            CitationView::new(
-                parse_query("VC(F, P) :- Committee(F, P)").unwrap(),
-                vec![CitationQuery::new(
-                    parse_query("CVC(D) :- D = 'committee'").unwrap(),
-                )],
-                CitationFunction::new(),
-            )
-            .unwrap(),
-        )
+    let old_svc = service(&mut store);
+    assert!(old_svc.cite(&q).is_err(), "uncoverable before the view");
+    store
+        .register_view(committee_view(), &mut SpanSet::disabled())
         .unwrap();
     // The old clone re-runs the uncoverable query, re-caching the empty
-    // plan — into ITS cache, which the engine no longer reads.
+    // plan — into ITS cache, which the store no longer reads.
     assert!(old_svc.cite(&q).is_err(), "old snapshot stays uncoverable");
     assert!(old_svc.cite(&q).is_err());
-    // The engine must still see the new view.
-    assert_eq!(engine.cite(&q).unwrap().answer.len(), 4);
+    // The store must still see the new view.
+    assert_eq!(service(&mut store).cite(&q).unwrap().answer.len(), 4);
 }
 
 #[test]
@@ -264,24 +277,11 @@ fn register_view_unlocks_previously_uncoverable_query() {
     // Deterministic companion to the properties above: an uncoverable
     // query must become coverable after the covering view arrives, even
     // though the failure (empty plan) was cached.
-    let mut engine = IncrementalEngine::new(
-        paper::paper_database(),
-        base_registry(),
-        EngineOptions::default(),
-    );
+    let mut store = paper_store(base_registry());
     let q = parse_query("Q(P) :- Committee(F, P)").unwrap();
-    assert!(engine.cite(&q).is_err());
-    engine
-        .register_view(
-            CitationView::new(
-                parse_query("VC(F, P) :- Committee(F, P)").unwrap(),
-                vec![CitationQuery::new(
-                    parse_query("CVC(D) :- D = 'committee'").unwrap(),
-                )],
-                CitationFunction::new(),
-            )
-            .unwrap(),
-        )
+    assert!(service(&mut store).cite(&q).is_err());
+    store
+        .register_view(committee_view(), &mut SpanSet::disabled())
         .unwrap();
-    assert_eq!(engine.cite(&q).unwrap().answer.len(), 4);
+    assert_eq!(service(&mut store).cite(&q).unwrap().answer.len(), 4);
 }

@@ -181,12 +181,16 @@ impl GroupCommitter {
         obs.largest_group.set_max(group_size as u64);
         let outcomes: Vec<Result<usize, String>> = batch
             .iter()
-            .map(|req| sh.apply_changes(&req.changes).map_err(|(_, m)| m))
+            .map(|req| {
+                sh.store_mut()
+                    .apply(&req.changes)
+                    .map_err(|e| e.to_string())
+            })
             .collect();
         // Seal once — only if at least one transaction survived (an
         // all-conflict window must not cut an empty version).
         let version = if outcomes.iter().any(Result::is_ok) {
-            match sh.seal_version() {
+            match sh.seal() {
                 Ok(v) => Some(v),
                 Err((_, m)) => {
                     for req in &batch {

@@ -7,7 +7,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`protocol`] | the shared command grammar ([`protocol::Command`]) + wire framing — one parser for the script runner, the stdin REPL and the TCP server, so the surfaces cannot drift |
-//! | [`script`] | the stateful [`Interpreter`]: per-session state over a shareable [`SharedStore`] (versioned database, registry, plan caches, cached service, and the `--data-dir` durability handle — the one persistence path) |
+//! | [`script`] | the stateful [`Interpreter`]: per-session state over a shareable [`SharedStore`] — a [`citesys_core::Store`] (versioned database, registry, plan caches, cached service, `--data-dir` durability: the one write path) plus the instruments and replication telemetry |
 //! | [`group`] | cross-connection **group commit**: racing transactions coalesce into one merged changeset and one snapshot swap per commit window |
 //! | [`server`] | the TCP [`Server`]: bounded worker pool, per-connection sessions, idle timeouts, graceful shutdown |
 //! | [`event`] | the **event-driven transport** (`ServerConfig { event_loop: true, .. }`): a fixed worker set multiplexes thousands of non-blocking sockets over the hermetic epoll shim, with wire pipelining and `@tag` request tags |

@@ -281,6 +281,20 @@ impl StoreObs {
         }
     }
 
+    /// Records the durability spans of one store write — `wal_fsync`,
+    /// `snapshot_swap`, `checkpoint` — into their histograms.
+    pub(crate) fn observe_write(&self, spans: &SpanSet) {
+        for (name, us) in spans.spans() {
+            let hist = match *name {
+                "wal_fsync" => &self.wal_fsync_seconds,
+                "snapshot_swap" => &self.snapshot_swap_seconds,
+                "checkpoint" => &self.checkpoint_seconds,
+                _ => continue,
+            };
+            hist.observe_micros(*us);
+        }
+    }
+
     /// Records `us` against the named pipeline stage (unknown stages
     /// are ignored — the span taxonomy is the contract).
     pub(crate) fn observe_stage(&self, stage: &str, us: u64) {

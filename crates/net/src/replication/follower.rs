@@ -111,7 +111,7 @@ fn stream_once(
     }
     let (version, digest) = {
         let sh = shared.lock();
-        (sh.latest_version(), sh.setup_digest())
+        (sh.store().latest_version(), sh.store().setup_digest())
     };
     writeln!(
         writer,
@@ -146,15 +146,16 @@ fn stream_once(
                 let mut sh = shared.lock();
                 sh.obs().replica_lag_records.inc();
                 sh.note_primary_version(version);
-                // Applies through the normal delta-maintenance path
-                // (local WAL append first); decrements lag_records.
-                if let Err((_, message)) = sh.apply_replica_record(version, &changes) {
+                // Applies through the store's commit routine (local WAL
+                // append before the version is cut); decrements
+                // lag_records.
+                if let Err((_, message)) = sh.apply_replicated(version, &changes) {
                     return Err(StreamEnd::Fatal(message));
                 }
             }
             ReplicaFrame::Ckpt(data) => {
                 let mut sh = shared.lock();
-                if let Err((_, message)) = sh.install_replica_checkpoint(&data) {
+                if let Err((_, message)) = sh.install_checkpoint(&data) {
                     return Err(StreamEnd::Fatal(message));
                 }
             }

@@ -80,20 +80,21 @@ fn feed_loop(
         let latest;
         {
             let sh = shared.lock();
-            latest = sh.latest_version();
-            let gen_now = sh.replication_generation();
+            let store = sh.store();
+            latest = store.latest_version();
+            let gen_now = store.replication_generation();
             let setup_ok = check_digest
                 .as_ref()
-                .is_none_or(|d| *d == sh.setup_digest())
+                .is_none_or(|d| *d == store.setup_digest())
                 && generation.is_none_or(|g| g == gen_now);
             // Incremental shipping needs every version in (sent, latest]
             // to still be in the op log: a follower ahead of us (unknown
             // version) or behind the compaction floor must re-bootstrap.
-            let tailable = sent <= latest && sent >= sh.base_version();
+            let tailable = sent <= latest && sent >= store.base_version();
             if setup_ok && tailable {
                 let hi = latest.min(sent.saturating_add(MAX_BATCH));
                 for v in sent + 1..=hi {
-                    match sh.changes_in(v) {
+                    match store.changes_in(v) {
                         Some(changes) => to_send.push(ReplicaFrame::Wal {
                             version: v,
                             changes,
@@ -104,9 +105,9 @@ fn feed_loop(
             } else {
                 // Bootstrap (or resync after DDL): one full checkpoint
                 // assembled from memory — works without `--data-dir`.
-                match sh.assemble_checkpoint_data() {
+                match store.checkpoint_data() {
                     Ok(data) => to_send.push(ReplicaFrame::Ckpt(data)),
-                    Err((_, message)) => fatal = Some(message),
+                    Err(e) => fatal = Some(e.to_string()),
                 }
             }
             if fatal.is_none() {

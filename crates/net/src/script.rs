@@ -19,19 +19,20 @@
 //! module — the same grammar the TCP wire protocol speaks — and executed
 //! here. The state splits in two:
 //!
-//! * [`SharedStore`] — the versioned database, registry, plan caches and
-//!   the cached [`CitationService`], behind an `Arc<Mutex<…>>` so many
-//!   sessions (the TCP server's connections) can share one store. A
-//!   solo [`Interpreter`] simply owns a private one.
+//! * [`SharedStore`] — a [`Store`] (versioned database, registry, plan
+//!   caches, cached service, durability: the one write path) plus the
+//!   instruments and replication telemetry, behind an `Arc<Mutex<…>>` so
+//!   many sessions (the TCP server's connections) can share it. A solo
+//!   [`Interpreter`] simply owns a private one.
 //! * [`Interpreter`] — per-session state: the open transaction buffer,
 //!   the last fixity token, the trace flag and accumulated output.
 //!
 //! `begin` opens a transaction: subsequent `insert`/`delete` lines are
 //! buffered and `commit` applies them **atomically** as one
 //! [`Changeset`] (all-or-nothing; `rollback` discards the buffer). With
-//! or without `begin`, each `commit` carries the committed ops into the
-//! cached service's materialized views by batch delta maintenance — one
-//! snapshot swap per commit, however many tuples changed.
+//! or without `begin`, each `commit` is one [`Store::seal`]: WAL append,
+//! a new version, and one delta-maintained snapshot swap, however many
+//! tuples changed.
 //!
 //! **Session isolation** ([`Interpreter::session`], used by the TCP
 //! server): every mutation buffers in the session until its `commit`,
@@ -43,13 +44,11 @@
 //! store.
 //!
 //! Every `cite` runs against the latest committed version and embeds a
-//! fixity token; `verify` re-checks the last citation. The interpreter
-//! keeps one [`CitationService`] snapshot per committed version and
-//! shares its rewrite-plan caches across `cite` commands, so a script
-//! (or a long-running `citesys serve` session) that re-cites the same
-//! query shape — even at different λ-parameter constants — pays for the
-//! rewriting search only once. Registering a view invalidates the shared
-//! plan caches (the rewriting space changed).
+//! fixity token; `verify` re-checks the last citation. The store's
+//! cached service and plan caches are shared across `cite` commands, so
+//! a script (or a long-running `citesys serve` session) that re-cites the
+//! same query shape — even at different λ-parameter constants — pays for
+//! the rewriting search only once.
 
 use std::fmt;
 use std::fs::File;
@@ -57,20 +56,17 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use citesys_core::durable::{SECTION_DATABASE, SECTION_PLANS, SECTION_REGISTRY, SECTION_VIEWS};
 use citesys_core::{
-    cite_with_service, cite_with_service_spanned, format_citation, verify, CitationRegistry,
-    CitationService, CitationView, Coverage, DurableHandle, EngineOptions, FixityToken, PlanCache,
+    cite_with_service, cite_with_service_spanned, format_citation, verify, AsOf, CitationService,
+    CitationView, Coverage, DurableHandle, EngineOptions, FixityToken, Store, StoreError,
 };
 use citesys_ingest::{
     append_audit, verify_sources, AuditRecord, CsvReader, DatasetEntry, DatasetManifest,
     HashCountRead, IngestConfig, JsonlReader, SourceFile, VerifyIssue, AUDIT_FILE, MANIFEST_FILE,
 };
 use citesys_obs::{SpanSet, SpanTimer};
-use citesys_storage::durability::{database_to_text, versioned_to_text};
 use citesys_storage::{
-    digest_database, to_csv, Changeset, CheckpointData, Database, Digest, RelationSchema,
-    StorageError, Tuple, VersionedDatabase,
+    digest_database, to_csv, Changeset, CheckpointData, Digest, RelationSchema, StorageError, Tuple,
 };
 use parking_lot::Mutex;
 
@@ -128,41 +124,25 @@ pub(crate) fn readonly_err(message: impl Into<String>) -> CmdError {
 // Shared store
 // ---------------------------------------------------------------------------
 
-/// The shareable half of an interpreter: schema, versioned store,
-/// citation registry, plan caches, the cached per-version service and
-/// the write-path counters.
+/// Maps a [`Store`] refusal onto the command error kinds: out-of-order
+/// commands are parse errors (exit 3), everything else a citation error.
+pub(crate) fn store_err(e: StoreError) -> CmdError {
+    match e {
+        StoreError::Usage(m) => parse_err(m),
+        StoreError::Failed(m) => cite_err(m),
+    }
+}
+
+/// A [`Store`] shared by many sessions, plus what only a server has:
+/// the registry-backed instruments ([`StoreObs`]), the slow-cite
+/// threshold and the replication telemetry (follow state, per-feed
+/// shipped counts).
 ///
 /// A solo [`Interpreter`] owns a private one; the TCP server puts one
 /// behind an `Arc<Mutex<…>>` and hands clones of the `Arc` to every
-/// connection session and to the group committer.
+/// connection session, the group committer and the replication runtime.
 pub struct SharedStore {
-    store: Option<VersionedDatabase>,
-    schemas: Vec<RelationSchema>,
-    registry: CitationRegistry,
-    /// Shared rewrite-plan caches: one for strict cites, one for cites
-    /// with the `partial` fallback (the two can cache different plans for
-    /// the same query). Cleared when a view is registered.
-    plans_strict: Arc<PlanCache>,
-    plans_partial: Arc<PlanCache>,
-    /// Service over the latest committed snapshot, rebuilt on demand and
-    /// carried across commits by batch delta maintenance.
-    service: Option<(u64, bool, CitationService)>,
-    /// Bumped whenever the registry is replaced or extended (a view
-    /// registration, an installed replica checkpoint) — half of
-    /// [`replication_generation`](Self::replication_generation), which
-    /// tells a feed to re-bootstrap its follower.
-    setup_generation: u64,
-    /// Durability backend (`serve --data-dir`): every sealed commit is
-    /// WAL-logged **before** it is acknowledged, and schema/view
-    /// registrations (plus the `checkpoint` command) write a full
-    /// checkpoint — database, registry, materialized views and plan
-    /// cache under one manifest.
-    durability: Option<DurableHandle>,
-    /// Auto-checkpoint threshold (`serve --checkpoint-every <n>`): after
-    /// a commit or replica apply pushes the WAL to `n` records or more,
-    /// a checkpoint is written — which, under a retention policy,
-    /// archives the superseded checkpoint as a time-travel anchor.
-    checkpoint_every: Option<u64>,
+    store: Store,
     /// Registry-backed instruments: the `stats` counters' single source
     /// of truth plus the latency histograms and the scrape registry.
     obs: StoreObs,
@@ -197,25 +177,11 @@ struct ReplicaPeer {
     shipped: u64,
 }
 
-impl Default for SharedStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SharedStore {
-    /// An empty store with no schema.
-    pub fn new() -> Self {
+    /// Serves `store`.
+    pub fn new(store: Store) -> Self {
         SharedStore {
-            store: None,
-            schemas: Vec::new(),
-            registry: CitationRegistry::new(),
-            plans_strict: Arc::new(PlanCache::new(citesys_core::DEFAULT_PLAN_CACHE_CAPACITY)),
-            plans_partial: Arc::new(PlanCache::new(citesys_core::DEFAULT_PLAN_CACHE_CAPACITY)),
-            service: None,
-            setup_generation: 0,
-            durability: None,
-            checkpoint_every: None,
+            store,
             obs: StoreObs::new(),
             slow_cite_ms: None,
             follow: None,
@@ -223,271 +189,112 @@ impl SharedStore {
         }
     }
 
-    /// Wraps a fresh store for sharing across sessions.
+    /// An empty in-memory store, wrapped for sharing across sessions.
     pub fn new_shared() -> Arc<Mutex<SharedStore>> {
-        Arc::new(Mutex::new(SharedStore::new()))
+        Arc::new(Mutex::new(SharedStore::new(Store::new())))
     }
 
-    /// Opens a **durable** store over a data directory: recovers the
-    /// newest checkpoint (schemas, data, registry, materialized views,
-    /// plan cache), replays the write-ahead log to the last acknowledged
-    /// commit through the normal delta-maintenance path, and keeps the
-    /// handle so every future commit is logged before it is acked. A
-    /// fresh directory starts an empty durable store.
-    pub fn open_durable(dir: impl AsRef<Path>) -> Result<SharedStore, String> {
-        Self::open_durable_with_retention(dir, 0)
-    }
-
-    /// [`open_durable`](Self::open_durable) with a checkpoint retention
-    /// policy: each checkpoint archives the superseded one (plus its WAL
-    /// segment) as a time-travel anchor, keeping the newest `retain`
-    /// anchors so `cite … @ <version>` can reach back past restarts.
-    pub fn open_durable_with_retention(
-        dir: impl AsRef<Path>,
-        retain: usize,
-    ) -> Result<SharedStore, String> {
-        let handle = DurableHandle::file_with_retention(dir, retain).map_err(|e| e.to_string())?;
-        let (handle, recovered) = CitationService::open_with(handle).map_err(|e| e.to_string())?;
-        let mut sh = SharedStore::new();
-        sh.durability = Some(handle);
-        if let Some(rec) = recovered {
-            let version = rec.store.latest_version();
-            sh.schemas = rec.store.schemas().to_vec();
-            sh.registry = rec.service.registry().as_ref().clone();
-            // The recovered service owns the recovered plan cache; the
-            // store's strict cache must be the same object so the next
-            // checkpoint exports it.
-            sh.plans_strict = Arc::clone(rec.service.plan_cache());
-            sh.store = Some(rec.store);
-            sh.service = Some((version, false, rec.service));
-        }
-        Ok(sh)
-    }
-
-    /// [`open_durable`](Self::open_durable), wrapped for sharing across
-    /// sessions (the TCP server's shape).
+    /// Opens a **durable** store over a data directory ([`Store::open`]:
+    /// checkpoint + WAL replay, views and plans warm), wrapped for
+    /// sharing across sessions. A fresh directory starts an empty
+    /// durable store.
     pub fn open_durable_shared(dir: impl AsRef<Path>) -> Result<Arc<Mutex<SharedStore>>, String> {
-        Ok(Arc::new(Mutex::new(SharedStore::open_durable(dir)?)))
+        Self::open_durable_shared_with_retention(dir, 0)
     }
 
-    /// [`open_durable_with_retention`](Self::open_durable_with_retention),
-    /// wrapped for sharing across sessions (the TCP server's shape).
+    /// [`open_durable_shared`](Self::open_durable_shared) with a
+    /// checkpoint retention policy: each checkpoint archives the
+    /// superseded one (plus its WAL segment) as a time-travel anchor,
+    /// keeping the newest `retain` so `cite … @ <version>` can reach back
+    /// past restarts.
     pub fn open_durable_shared_with_retention(
         dir: impl AsRef<Path>,
         retain: usize,
     ) -> Result<Arc<Mutex<SharedStore>>, String> {
-        Ok(Arc::new(Mutex::new(
-            SharedStore::open_durable_with_retention(dir, retain)?,
-        )))
+        let handle = DurableHandle::file_with_retention(dir, retain).map_err(|e| e.to_string())?;
+        let store = Store::open(handle).map_err(|e| e.to_string())?;
+        Ok(Arc::new(Mutex::new(SharedStore::new(store))))
     }
 
-    /// True when this store logs commits to a durable data directory.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
+    /// The store.
+    pub fn store(&self) -> &Store {
+        &self.store
     }
 
-    /// Arms record-based auto-checkpointing: after any commit (local or
-    /// replicated) leaves `n` or more WAL records, a checkpoint is
-    /// written automatically. `None` disables (the default).
-    pub fn set_checkpoint_every(&mut self, n: Option<u64>) {
-        self.checkpoint_every = n;
+    /// The store, for configuration ([`Store::set_checkpoint_every`]) —
+    /// writes that should be counted go through the sessions.
+    pub fn store_mut(&mut self) -> &mut Store {
+        &mut self.store
     }
 
-    /// The oldest version `cite … @ <version>` can currently serve:
-    /// the in-memory op-log base, lowered to the durable backend's
-    /// retained-history floor when anchors reach further back.
-    pub fn history_base_version(&self) -> u64 {
-        let mem = self.base_version();
-        match self
-            .durability
-            .as_ref()
-            .and_then(DurableHandle::history_floor)
-        {
-            Some(floor) => floor.min(mem),
-            None => mem,
+    /// Runs one store write, feeding the durability spans it recorded
+    /// (`wal_fsync`, `snapshot_swap`, `checkpoint`) into their
+    /// histograms.
+    pub(crate) fn write<T>(
+        &mut self,
+        f: impl FnOnce(&mut Store, &mut SpanSet) -> Result<T, StoreError>,
+    ) -> Result<T, CmdError> {
+        let mut spans = SpanSet::new(self.obs.timings_enabled());
+        let out = f(&mut self.store, &mut spans);
+        self.obs.observe_write(&spans);
+        out.map_err(store_err)
+    }
+
+    /// Seals everything pending as one version ([`Store::seal`]) and
+    /// accounts for it: the snapshot swap, the auto-checkpoint and the
+    /// commit latency.
+    pub(crate) fn seal(&mut self) -> Result<u64, CmdError> {
+        let commit = SpanTimer::start(self.obs.timings_enabled());
+        let sealed = self.write(|store, spans| store.seal(spans))?;
+        if sealed.swapped {
+            self.obs.snapshot_swaps.inc();
         }
-    }
-
-    /// Checkpoints the durable backend holds: the live one plus every
-    /// retained time-travel anchor (0 without `--data-dir`).
-    pub fn checkpoints_retained(&self) -> usize {
-        self.durability
-            .as_ref()
-            .map_or(0, DurableHandle::checkpoints_retained)
-    }
-
-    /// Write-ahead-log records accumulated since the last checkpoint
-    /// (0 without `--data-dir`).
-    pub fn wal_records(&self) -> usize {
-        self.durability
-            .as_ref()
-            .map_or(0, DurableHandle::wal_records)
-    }
-
-    /// Checkpoints the durable store: the committed database, the
-    /// registry, the cached service's materialized views and the plan
-    /// cache, atomically under one manifest; then resets the WAL.
-    /// Errors without a durable backend. Pending (uncommitted) ops are
-    /// excluded — they remain in memory and the next commit WAL-logs
-    /// them as usual.
-    pub(crate) fn write_checkpoint(&mut self) -> Result<u64, CmdError> {
-        if self.durability.is_none() {
-            return Err(cite_err(
-                "no durable data directory (start with serve --data-dir <path>)",
-            ));
-        }
-        let ckpt = SpanTimer::start(self.obs.timings_enabled());
-        let data = self.assemble_checkpoint_data()?;
-        let version = data.version;
-        self.durability
-            .as_mut()
-            .expect("checked above")
-            .write_checkpoint(&data)
-            .map_err(|e| cite_err(e.to_string()))?;
+        self.write(|store, spans| store.checkpoint_if_due(spans))?;
         self.obs
-            .checkpoint_seconds
-            .observe_micros(ckpt.elapsed_micros());
+            .commit_seconds
+            .observe_micros(commit.elapsed_micros());
+        Ok(sealed.version)
+    }
+
+    /// Applies one `wal` frame shipped by the primary
+    /// ([`Store::apply_replicated`]) and accounts for it like a commit.
+    pub(crate) fn apply_replicated(
+        &mut self,
+        version: u64,
+        changes: &Changeset,
+    ) -> Result<u64, CmdError> {
+        let sealed = self.write(|store, spans| store.apply_replicated(version, changes, spans))?;
+        self.obs.commits.inc();
+        self.obs.replica_lag_records.dec_sat();
+        if sealed.swapped {
+            self.obs.snapshot_swaps.inc();
+        }
+        self.note_primary_version(sealed.version);
+        self.write(|store, spans| store.checkpoint_if_due(spans))?;
+        Ok(sealed.version)
+    }
+
+    /// Installs a `ckpt` frame shipped by the primary
+    /// ([`Store::install_checkpoint`]).
+    pub(crate) fn install_checkpoint(&mut self, data: &CheckpointData) -> Result<u64, CmdError> {
+        let version = self.store.install_checkpoint(data).map_err(store_err)?;
+        self.obs.service_builds.inc();
+        self.note_primary_version(version);
         Ok(version)
     }
 
-    /// Writes a checkpoint when auto-checkpointing is armed and the WAL
-    /// has reached the configured record threshold. Runs after the
-    /// commit is acknowledged-equivalent (WAL fsynced, version cut), so
-    /// a failure here cannot lose the commit — it surfaces as the
-    /// command's error while the data stays replayable from the WAL.
-    fn maybe_auto_checkpoint(&mut self) -> Result<(), CmdError> {
-        let Some(every) = self.checkpoint_every else {
-            return Ok(());
-        };
-        if self.durability.is_some() && self.wal_records() as u64 >= every {
-            self.write_checkpoint()?;
+    /// [`Store::service_at`], counting cold builds.
+    fn service_at(
+        &mut self,
+        version: u64,
+        options: EngineOptions,
+    ) -> Result<CitationService, CmdError> {
+        let (service, built) = self.store.service_at(version, options).map_err(store_err)?;
+        if built {
+            self.obs.service_builds.inc();
         }
-        Ok(())
+        Ok(service)
     }
-
-    /// Trims queryable history to the newest `window` versions: write a
-    /// checkpoint (folding the WAL, archiving the superseded checkpoint
-    /// as an anchor under the retention policy), drop durable anchors
-    /// below the replay base for the new floor, and compact the
-    /// in-memory op log. Returns `(floor, anchors pruned)`.
-    pub(crate) fn compact_history(&mut self, window: u64) -> Result<(u64, usize), CmdError> {
-        let latest = self.latest_version();
-        let floor = latest.saturating_sub(window);
-        let mut pruned = 0usize;
-        if self.durability.is_some() {
-            // Checkpoint first so coverage stays contiguous: the WAL is
-            // folded into the live checkpoint and the superseded one
-            // becomes an anchor before anything is dropped.
-            self.write_checkpoint()?;
-            pruned = self
-                .durability
-                .as_mut()
-                .expect("checked above")
-                .prune_history(floor)
-                .map_err(|e| cite_err(e.to_string()))?;
-        }
-        if let Some(store) = &mut self.store {
-            store
-                .compact_to(floor)
-                .map_err(|e| cite_err(e.to_string()))?;
-        }
-        Ok((floor, pruned))
-    }
-
-    /// Assembles the four checkpoint sections — committed database,
-    /// registry, materialized views, plan cache — from the in-memory
-    /// state, without touching any backend. This is the payload both of
-    /// [`write_checkpoint`](Self::write_checkpoint) and of the `ckpt`
-    /// frame a replication feed sends to bootstrap a follower (so a
-    /// primary replicates even without `--data-dir`).
-    pub(crate) fn assemble_checkpoint_data(&self) -> Result<CheckpointData, CmdError> {
-        let (version, database_text) = match &self.store {
-            Some(store) => (
-                store.latest_version(),
-                versioned_to_text(store).map_err(cite_err)?,
-            ),
-            None => {
-                // No data yet: checkpoint the declared schemas at v0 so
-                // a restart can still replay later WAL records.
-                let empty = VersionedDatabase::new(self.schemas.clone())
-                    .map_err(|e| cite_err(e.to_string()))?;
-                (0, versioned_to_text(&empty).map_err(cite_err)?)
-            }
-        };
-        let views = self
-            .service
-            .as_ref()
-            .filter(|(v, partial, _)| *v == version && !*partial)
-            .map(|(_, _, svc)| svc.materialized_views())
-            .unwrap_or_default();
-        Ok(CheckpointData {
-            version,
-            sections: vec![
-                (SECTION_DATABASE.to_string(), database_text),
-                (SECTION_REGISTRY.to_string(), self.registry.to_text()),
-                (SECTION_VIEWS.to_string(), database_to_text(&views)),
-                (SECTION_PLANS.to_string(), self.export_plans()),
-            ],
-        })
-    }
-
-    /// DDL durability: schema declarations and view registrations are
-    /// not changesets, so they cannot ride the WAL — checkpoint instead
-    /// (rare, and the natural point to re-snapshot anyway since a view
-    /// registration invalidates the plan cache).
-    fn checkpoint_after_ddl(&mut self) -> Result<(), CmdError> {
-        if self.durability.is_some() {
-            self.write_checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// The durable backend's on-disk data directory (`None` without
-    /// `--data-dir` or for in-memory backends) — where the dataset
-    /// manifest and audit log live by default.
-    pub fn data_dir(&self) -> Option<PathBuf> {
-        self.durability
-            .as_ref()
-            .and_then(|h| h.data_dir().map(Path::to_path_buf))
-    }
-
-    /// Admits a header-declared relation for a bulk load: matches it
-    /// against the declared (or live) schema, declaring it — with the
-    /// DDL checkpoint — when the store has not been initialized yet,
-    /// the same window `schema` itself has. A live store cannot grow
-    /// relations: older snapshots replay from the schema set, so a late
-    /// declaration would drift their fixity digests.
-    pub(crate) fn ensure_relation(&mut self, schema: &RelationSchema) -> Result<(), CmdError> {
-        let name = schema.name.as_str();
-        let live = self.store.is_some();
-        let existing = match &self.store {
-            Some(store) => store.schemas().iter().find(|s| s.name == schema.name),
-            None => self.schemas.iter().find(|s| s.name == schema.name),
-        };
-        match existing {
-            Some(ex) => {
-                if ex.attributes != schema.attributes {
-                    return Err(cite_err(format!(
-                        "relation {name}: header columns do not match the declared schema"
-                    )));
-                }
-                Ok(())
-            }
-            None if live => Err(cite_err(format!(
-                "relation {name} is not declared and the store already holds data: \
-                 declare schemas before any data command"
-            ))),
-            None => {
-                self.schemas.push(schema.clone());
-                self.checkpoint_after_ddl()?;
-                Ok(())
-            }
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Replication
-    // -----------------------------------------------------------------
 
     /// Marks this store as a read-only replica of `primary`. Sessions
     /// reject every mutating command with a `readonly` error from here
@@ -505,129 +312,10 @@ impl SharedStore {
         self.follow.as_ref().map(|f| f.primary.as_str())
     }
 
-    /// Latest committed version (0 before any commit).
-    pub fn latest_version(&self) -> u64 {
-        self.store
-            .as_ref()
-            .map_or(0, VersionedDatabase::latest_version)
-    }
-
-    /// Oldest version boundary of the in-memory op log — versions at or
-    /// below it were compacted by a warm restart and cannot be tailed.
-    pub(crate) fn base_version(&self) -> u64 {
-        self.store
-            .as_ref()
-            .map_or(0, VersionedDatabase::base_version)
-    }
-
-    /// Fingerprint of the replication *setup*: schemas + registry. A
-    /// follower sends this in its hello; the primary answers a mismatch
-    /// with a full `ckpt` bootstrap instead of incremental `wal` frames
-    /// (changesets only make sense against identical schemas/views).
-    pub(crate) fn setup_digest(&self) -> String {
-        let mut text = format!("{:?}", self.schemas);
-        text.push('\x1f');
-        text.push_str(&self.registry.to_text());
-        citesys_storage::sha256(text.as_bytes()).to_hex()
-    }
-
-    /// Bumps whenever DDL changes the replication setup mid-stream
-    /// (schema declared, view registered): feeds compare it between
-    /// batches and re-bootstrap their follower on change.
-    pub(crate) fn replication_generation(&self) -> (u64, usize) {
-        (self.setup_generation, self.schemas.len())
-    }
-
-    /// Re-materializes the changeset committed as `version` from the
-    /// in-memory op log (`None` for version 0, unknown versions, and
-    /// versions compacted by a warm restart).
-    pub(crate) fn changes_in(&self, version: u64) -> Option<Changeset> {
-        let ops = self.store.as_ref()?.ops_of(version)?;
-        Some(Changeset::from_ops(ops.to_vec()))
-    }
-
-    /// Installs a `ckpt` frame shipped by the primary: rebuilds the
-    /// store, registry, plan cache and warm views from its sections,
-    /// publishes the service, and persists the checkpoint to the local
-    /// durable backend (if any) so a restart resumes from it. Refuses a
-    /// checkpoint older than the local version — that means the
-    /// histories diverged, which re-streaming cannot fix.
-    pub(crate) fn install_replica_checkpoint(
-        &mut self,
-        data: &CheckpointData,
-    ) -> Result<u64, CmdError> {
-        let local = self.latest_version();
-        if data.version < local {
-            return Err(cite_err(format!(
-                "primary checkpoint at version {} is behind local version {local}: \
-                 histories diverged",
-                data.version
-            )));
-        }
-        let (store, service) = citesys_core::durable::rebuild_from_checkpoint(data)
-            .map_err(|e| cite_err(e.to_string()))?;
-        let version = store.latest_version();
-        self.schemas = store.schemas().to_vec();
-        self.registry = service.registry().as_ref().clone();
-        self.plans_strict = Arc::clone(service.plan_cache());
-        self.plans_partial = Arc::new(PlanCache::new(citesys_core::DEFAULT_PLAN_CACHE_CAPACITY));
-        self.store = Some(store);
-        self.service = Some((version, false, service));
-        self.setup_generation += 1;
-        self.obs.service_builds.inc();
-        if let Some(handle) = &mut self.durability {
-            handle
-                .write_checkpoint(data)
-                .map_err(|e| cite_err(e.to_string()))?;
-        }
-        self.note_primary_version(version);
-        Ok(version)
-    }
-
-    /// Applies one `wal` frame shipped by the primary, through the same
-    /// path a local commit takes: local WAL append first (so a crash
-    /// mid-apply replays it), then apply + commit, then batch delta
-    /// maintenance publishes the new snapshot with views and plans
-    /// still warm. The stream must be gapless: `version` has to be
-    /// exactly the local latest + 1.
-    pub(crate) fn apply_replica_record(
-        &mut self,
-        version: u64,
-        changes: &Changeset,
-    ) -> Result<u64, CmdError> {
-        let expected = self.latest_version() + 1;
-        if version != expected {
-            return Err(cite_err(format!(
-                "replication stream out of order: got version {version}, expected {expected}"
-            )));
-        }
-        if let Some(handle) = &mut self.durability {
-            let fsync = SpanTimer::start(self.obs.timings_enabled());
-            handle
-                .log_commit(version, changes)
-                .map_err(|e| cite_err(format!("write-ahead log: {e}")))?;
-            self.obs
-                .wal_fsync_seconds
-                .observe_micros(fsync.elapsed_micros());
-        }
-        let store = self.store_mut()?;
-        store
-            .apply_changeset(changes)
-            .map_err(|e| cite_err(e.to_string()))?;
-        let v = store.commit();
-        debug_assert_eq!(v, version);
-        self.obs.commits.inc();
-        self.obs.replica_lag_records.dec_sat();
-        self.refresh_service_after_commit(v, changes);
-        self.note_primary_version(v);
-        self.maybe_auto_checkpoint()?;
-        Ok(v)
-    }
-
     /// Records the primary's latest version (from a `wal` or `ping`
     /// frame) and recomputes the follower's version lag.
     pub(crate) fn note_primary_version(&mut self, version: u64) {
-        let latest = self.latest_version();
+        let latest = self.store.latest_version();
         if let Some(f) = &mut self.follow {
             f.primary_version = f.primary_version.max(version);
             self.obs
@@ -700,183 +388,23 @@ impl SharedStore {
     /// truth lives outside the registry (plan cache, view cache, WAL
     /// and history gauges).
     pub fn render_metrics(&mut self) -> String {
-        let plans = self.plans_strict.stats();
+        let store = &self.store;
+        let plans = store.plan_cache_stats();
         self.obs.plan_cache_hits.set(plans.hits);
         self.obs.plan_cache_misses.set(plans.misses);
         self.obs.plan_cache_evictions.set(plans.evictions);
-        let views = self.view_cache_stats().unwrap_or_default();
+        let views = store.view_cache_stats().unwrap_or_default();
         self.obs.view_materializations.set(views.materializations);
         self.obs.view_deltas_applied.set(views.deltas_applied);
-        self.obs.wal_records.set(self.wal_records() as u64);
+        self.obs.wal_records.set(store.wal_records() as u64);
         self.obs
             .history_base_version
-            .set(self.history_base_version());
+            .set(store.history_base_version());
         self.obs
             .checkpoints_retained
-            .set(self.checkpoints_retained() as u64);
-        self.obs.latest_version.set(self.latest_version());
+            .set(store.checkpoints_retained() as u64);
+        self.obs.latest_version.set(store.latest_version());
         self.obs.render()
-    }
-
-    /// Counters of the strict (non-partial) plan cache.
-    pub fn plan_cache_stats(&self) -> citesys_core::PlanCacheStats {
-        self.plans_strict.stats()
-    }
-
-    /// Materialized-view cache counters of the cached service, if one
-    /// has been built (i.e. after the first `cite`).
-    pub fn view_cache_stats(&self) -> Option<citesys_core::ViewCacheStats> {
-        self.service
-            .as_ref()
-            .map(|(_, _, svc)| svc.view_cache_stats())
-    }
-
-    /// A clone of the citation-view registry (for inspection).
-    pub fn registry(&self) -> CitationRegistry {
-        self.registry.clone()
-    }
-
-    /// Serializes the strict plan cache to the `citesys-plan-cache v1`
-    /// text form — the checkpoint's plan section.
-    pub fn export_plans(&self) -> String {
-        self.plans_strict.to_text()
-    }
-
-    /// Loads plans serialized by [`export_plans`](Self::export_plans)
-    /// into the strict plan cache, returning how many were loaded.
-    pub fn import_plans(&mut self, text: &str) -> Result<usize, String> {
-        self.plans_strict.load_text(text).map_err(|e| e.to_string())
-    }
-
-    fn store_mut(&mut self) -> Result<&mut VersionedDatabase, CmdError> {
-        if self.store.is_none() {
-            if self.schemas.is_empty() {
-                return Err(parse_err("no schema declared"));
-            }
-            let store = VersionedDatabase::new(self.schemas.clone())
-                .map_err(|e| cite_err(e.to_string()))?;
-            self.store = Some(store);
-        }
-        Ok(self.store.as_mut().expect("just initialized"))
-    }
-
-    /// Applies one transaction's changeset atomically to the working
-    /// state (all-or-nothing; a failure rolls the whole batch back).
-    pub(crate) fn apply_changes(&mut self, changes: &Changeset) -> Result<usize, CmdError> {
-        self.store_mut()?
-            .apply_changeset(changes)
-            .map_err(|e| cite_err(format!("transaction rolled back: {e}")))
-    }
-
-    /// Seals everything pending as one new version and carries it into
-    /// the cached service by batch delta maintenance — one snapshot swap
-    /// per call, however many transactions were applied since the last
-    /// one. Returns the new version number.
-    ///
-    /// With a durable backend, the sealed changeset is appended to the
-    /// write-ahead log (and fsynced) **before** the version is cut —
-    /// and therefore before any caller acknowledges the commit. A crash
-    /// after the ack replays the record; a crash before the append
-    /// loses only an unacknowledged commit.
-    pub(crate) fn seal_version(&mut self) -> Result<u64, CmdError> {
-        let commit_timer = SpanTimer::start(self.obs.timings_enabled());
-        let (next, changes) = {
-            let store = self.store_mut()?;
-            // Delta-maintain with EVERYTHING this commit seals: the
-            // pending log covers both non-transactional ops applied
-            // before any `begin` and every transaction changeset applied
-            // since the last seal.
-            let changes = Changeset::from_ops(store.pending_ops().to_vec());
-            (store.latest_version() + 1, changes)
-        };
-        if let Some(handle) = &mut self.durability {
-            let fsync = SpanTimer::start(self.obs.timings_enabled());
-            handle
-                .log_commit(next, &changes)
-                .map_err(|e| cite_err(format!("write-ahead log: {e}")))?;
-            self.obs
-                .wal_fsync_seconds
-                .observe_micros(fsync.elapsed_micros());
-        }
-        let v = self
-            .store
-            .as_mut()
-            .expect("store initialized above")
-            .commit();
-        debug_assert_eq!(v, next);
-        self.refresh_service_after_commit(v, &changes);
-        self.maybe_auto_checkpoint()?;
-        self.obs
-            .commit_seconds
-            .observe_micros(commit_timer.elapsed_micros());
-        Ok(v)
-    }
-
-    /// Carries the cached service across a commit by **batch delta
-    /// maintenance**: the committed ops are staged as one changeset
-    /// against the old snapshot and applied to the new one in a single
-    /// snapshot swap, keeping both the plan cache and the materialized
-    /// views warm instead of rebuilding the service cold.
-    fn refresh_service_after_commit(&mut self, v_new: u64, changes: &Changeset) {
-        let Some((v_old, partial, svc)) = self.service.take() else {
-            return;
-        };
-        if v_old + 1 != v_new {
-            return;
-        }
-        let store = self.store.as_ref().expect("commit initialized the store");
-        let Ok(snapshot) = store.snapshot(v_new) else {
-            return;
-        };
-        let swap = SpanTimer::start(self.obs.timings_enabled());
-        let pending = svc.stage_batch(changes);
-        let next = svc.with_database_delta(snapshot, pending);
-        self.service = Some((v_new, partial, next));
-        self.obs.snapshot_swaps.inc();
-        self.obs
-            .snapshot_swap_seconds
-            .observe_micros(swap.elapsed_micros());
-    }
-
-    /// Returns (building if needed) a service over the snapshot of
-    /// `version` with the given options, reusing the shared plan caches.
-    /// Rebuilt only when the version or the partial flag changes — mode
-    /// and policies do not affect plans, so they are set fresh on every
-    /// call via the builder.
-    fn service_at(
-        &mut self,
-        version: u64,
-        options: EngineOptions,
-    ) -> Result<CitationService, CmdError> {
-        if let Some((v, partial, svc)) = &self.service {
-            if *v == version && *partial == options.allow_partial {
-                // Same snapshot and plan-compatible options: reuse the
-                // service — including its materialized-view cache — with
-                // this cite's mode/policies applied.
-                return svc
-                    .with_options(options)
-                    .map_err(|e| cite_err(e.to_string()));
-            }
-        }
-        let store = self.store.as_ref().expect("caller initialized the store");
-        let snapshot = store
-            .snapshot(version)
-            .map_err(|e| cite_err(e.to_string()))?;
-        let plans = if options.allow_partial {
-            Arc::clone(&self.plans_partial)
-        } else {
-            Arc::clone(&self.plans_strict)
-        };
-        let svc = CitationService::builder()
-            .database(snapshot)
-            .registry(self.registry.clone())
-            .options(options)
-            .shared_plan_cache(plans)
-            .build()
-            .map_err(|e| cite_err(e.to_string()))?;
-        self.service = Some((version, options.allow_partial, svc.clone()));
-        self.obs.service_builds.inc();
-        Ok(svc)
     }
 }
 
@@ -1130,8 +658,8 @@ impl Interpreter {
         }
         match cmd {
             Command::Schema { name, attrs, key } => self.cmd_schema(name, attrs, key),
-            Command::Insert { rel, tuple } => self.cmd_insert(rel, tuple.clone()),
-            Command::Delete { rel, tuple } => self.cmd_delete(rel, tuple.clone()),
+            Command::Insert { rel, tuple } => self.cmd_write(true, rel, tuple.clone()),
+            Command::Delete { rel, tuple } => self.cmd_write(false, rel, tuple.clone()),
             Command::View(spec) => self.cmd_view(spec),
             Command::Begin => self.cmd_begin(),
             Command::Rollback => self.cmd_rollback(),
@@ -1171,58 +699,44 @@ impl Interpreter {
         attrs: &[(String, citesys_cq::ValueType)],
         key: &[usize],
     ) -> Result<(), CmdError> {
-        {
-            let mut sh = self.shared.lock();
-            if sh.store.is_some() {
-                return Err(parse_err("schema must be declared before any data command"));
-            }
-            let parts: Vec<(&str, citesys_cq::ValueType)> =
-                attrs.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-            let schema = RelationSchema::from_parts(name, &parts, key);
-            sh.schemas.push(schema);
-            // DDL cannot ride the WAL: persist the declaration now so a
-            // crash before the first commit still recovers the schema.
-            sh.checkpoint_after_ddl()?;
-        }
+        let parts: Vec<(&str, citesys_cq::ValueType)> =
+            attrs.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+        let schema = RelationSchema::from_parts(name, &parts, key);
+        self.shared
+            .lock()
+            .write(|store, spans| store.declare_relation(schema, spans))?;
         self.say(format!("schema {name} ({} attributes)", attrs.len()));
         Ok(())
     }
 
-    fn cmd_insert(&mut self, rel: &str, tuple: citesys_storage::Tuple) -> Result<(), CmdError> {
+    /// `insert` / `delete`: buffered in a session or an open transaction
+    /// (validated and applied atomically at `commit`), otherwise applied
+    /// to the working state at once and sealed by the next `commit`.
+    fn cmd_write(&mut self, insert: bool, rel: &str, tuple: Tuple) -> Result<(), CmdError> {
         if self.isolated || self.txn.is_some() {
-            // Buffered: validated and applied atomically at `commit`.
-            self.txn
-                .get_or_insert_with(Changeset::new)
-                .insert(rel, tuple);
+            let txn = self.txn.get_or_insert_with(Changeset::new);
+            if insert {
+                txn.insert(rel, tuple);
+            } else {
+                txn.delete(rel, tuple);
+            }
             return Ok(());
         }
-        let changed = self
-            .shared
-            .lock()
-            .store_mut()?
-            .insert(rel, tuple)
-            .map_err(|e| cite_err(e.to_string()))?;
+        let changed = {
+            let mut sh = self.shared.lock();
+            let db = sh.store.database_mut().map_err(store_err)?;
+            match insert {
+                true => db.insert(rel, tuple),
+                false => db.delete(rel, &tuple),
+            }
+            .map_err(|e| cite_err(e.to_string()))?
+        };
         if !changed {
-            self.say("(duplicate ignored)");
-        }
-        Ok(())
-    }
-
-    fn cmd_delete(&mut self, rel: &str, tuple: citesys_storage::Tuple) -> Result<(), CmdError> {
-        if self.isolated || self.txn.is_some() {
-            self.txn
-                .get_or_insert_with(Changeset::new)
-                .delete(rel, tuple);
-            return Ok(());
-        }
-        let changed = self
-            .shared
-            .lock()
-            .store_mut()?
-            .delete(rel, &tuple)
-            .map_err(|e| cite_err(e.to_string()))?;
-        if !changed {
-            self.say("(no such tuple)");
+            self.say(if insert {
+                "(duplicate ignored)"
+            } else {
+                "(no such tuple)"
+            });
         }
         Ok(())
     }
@@ -1257,21 +771,9 @@ impl Interpreter {
         let name = spec.view.name().to_string();
         let cv = CitationView::new(spec.view.clone(), spec.cites.clone(), spec.function.clone())
             .map_err(|e| cite_err(e.to_string()))?;
-        {
-            let mut sh = self.shared.lock();
-            sh.registry.add(cv).map_err(|e| cite_err(e.to_string()))?;
-            // The rewriting space changed: drop the service built over the
-            // stale registry and swap in FRESH plan caches (replacing the
-            // `Arc`s, so nothing holding the old caches can leak
-            // old-registry plans back in).
-            sh.plans_strict = Arc::new(PlanCache::new(citesys_core::DEFAULT_PLAN_CACHE_CAPACITY));
-            sh.plans_partial = Arc::new(PlanCache::new(citesys_core::DEFAULT_PLAN_CACHE_CAPACITY));
-            sh.service = None;
-            sh.setup_generation += 1;
-            // Registry changes cannot ride the WAL; checkpoint so the
-            // view (and the invalidated plan cache) survive a crash.
-            sh.checkpoint_after_ddl()?;
-        }
+        self.shared
+            .lock()
+            .write(|store, spans| store.register_view(cv, spans))?;
         self.say(format!("view {name} registered"));
         Ok(())
     }
@@ -1280,23 +782,7 @@ impl Interpreter {
         let txn = self.txn.take();
         self.explicit_txn = false;
         if self.isolated {
-            let changes = txn.unwrap_or_default();
-            let ack = match &self.committer {
-                Some(handle) => handle.commit(changes).map_err(cite_err)?,
-                None => {
-                    // No committer wired (tests / single-session use):
-                    // the same path, inline under the store lock.
-                    let mut sh = self.shared.lock();
-                    let applied = sh.apply_changes(&changes)?;
-                    let version = sh.seal_version()?;
-                    sh.obs.commits.inc();
-                    CommitAck {
-                        version,
-                        applied,
-                        group_size: 1,
-                    }
-                }
-            };
+            let ack = self.commit_changes(txn.unwrap_or_default())?;
             self.say(commit_ack_message(&ack));
             return Ok(());
         }
@@ -1307,9 +793,9 @@ impl Interpreter {
         let v = {
             let mut sh = self.shared.lock();
             if let Some(changes) = txn {
-                sh.apply_changes(&changes)?;
+                sh.store.apply(&changes).map_err(store_err)?;
             }
-            let v = sh.seal_version()?;
+            let v = sh.seal()?;
             sh.obs.commits.inc();
             v
         };
@@ -1335,11 +821,7 @@ impl Interpreter {
         }
         let (service, version, slow_ms) = {
             let mut sh = self.shared.lock();
-            let store = sh.store_mut()?;
-            if store.has_pending() {
-                return Err(cite_err("uncommitted changes: run 'commit' before 'cite'"));
-            }
-            let version = store.latest_version();
+            let version = sh.store.committed_version().map_err(store_err)?;
             let service = sh.service_at(version, spec.options)?;
             (service, version, sh.slow_cite_ms)
         };
@@ -1378,68 +860,32 @@ impl Interpreter {
     /// cold from the anchor checkpoint plus its WAL segment, under the
     /// registry that governed that version.
     fn cmd_cite_at(&mut self, version: u64, spec: &CiteSpec) -> Result<(), CmdError> {
-        enum Source {
-            /// Snapshot served from the in-memory log + the live
-            /// service's as-of cache.
-            Warm(CitationService, Arc<Database>),
-            /// Snapshot reconstructed from a durable anchor, with the
-            /// registry that governed it.
-            Anchor(Arc<Database>, CitationRegistry),
-        }
-        let source = {
+        let (service, snapshot) = {
             let mut sh = self.shared.lock();
-            let store = sh.store_mut()?;
-            if store.has_pending() {
-                return Err(cite_err("uncommitted changes: run 'commit' before 'cite'"));
-            }
-            let latest = store.latest_version();
-            match store.snapshot(version) {
-                Ok(snapshot) => {
-                    let service = sh.service_at(latest, spec.options)?;
-                    Source::Warm(service, snapshot)
+            let latest = sh.store.committed_version().map_err(store_err)?;
+            match sh.store.as_of(version).map_err(store_err)? {
+                AsOf::Memory(snapshot) => (sh.service_at(latest, spec.options)?, Some(snapshot)),
+                // A cold service under the registry that governed it.
+                AsOf::Anchor(snapshot, registry) => {
+                    let service = CitationService::builder()
+                        .database(snapshot)
+                        .registry(registry)
+                        .options(spec.options)
+                        .build()
+                        .map_err(|e| cite_err(e.to_string()))?;
+                    (service, None)
                 }
-                Err(StorageError::CompactedVersion { .. }) => {
-                    let fallback = sh
-                        .durability
-                        .as_ref()
-                        .map(|d| d.database_at(version))
-                        .transpose()
-                        .map_err(|e| cite_err(e.to_string()))?
-                        .flatten();
-                    match fallback {
-                        Some((snapshot, registry)) => Source::Anchor(snapshot, registry),
-                        // Re-stamp the error with the TRUE floor: after a
-                        // restart the in-memory log starts at the last
-                        // checkpoint, but retained anchors reach further
-                        // back — the client should be told the oldest
-                        // version that actually serves.
-                        None => {
-                            let oldest = sh.history_base_version();
-                            return Err(cite_err(
-                                StorageError::CompactedVersion { version, oldest }.to_string(),
-                            ));
-                        }
-                    }
-                }
-                Err(e) => return Err(cite_err(e.to_string())),
+                AsOf::Compacted { oldest } => return Err(compacted(version, oldest)),
             }
         };
         // Evaluation runs OUTSIDE the store lock, like a live cite.
-        let (cited, token) = match source {
-            Source::Warm(service, snapshot) => service
-                .cite_at_snapshot(version, &snapshot, spec.options, &spec.query)
-                .map_err(|e| cite_err(e.to_string()))?,
-            Source::Anchor(snapshot, registry) => {
-                let service = CitationService::builder()
-                    .database(snapshot)
-                    .registry(registry)
-                    .options(spec.options)
-                    .build()
-                    .map_err(|e| cite_err(e.to_string()))?;
-                cite_with_service(&service, version, &spec.query)
-                    .map_err(|e| cite_err(e.to_string()))?
+        let (cited, token) = match snapshot {
+            Some(snapshot) => {
+                service.cite_at_snapshot(version, &snapshot, spec.options, &spec.query)
             }
-        };
+            None => cite_with_service(&service, version, &spec.query),
+        }
+        .map_err(|e| cite_err(e.to_string()))?;
         self.report_citation(cited, token, spec.format);
         Ok(())
     }
@@ -1480,7 +926,7 @@ impl Interpreter {
             .ok_or_else(|| cite_err("no citation to verify"))?;
         {
             let sh = self.shared.lock();
-            let store = sh.store.as_ref().ok_or_else(|| cite_err("no data"))?;
+            let store = sh.store.database().ok_or_else(|| cite_err("no data"))?;
             verify(store, &token).map_err(|e| cite_err(e.to_string()))?;
         }
         self.say(format!(
@@ -1493,7 +939,7 @@ impl Interpreter {
     fn cmd_tables(&mut self) -> Result<(), CmdError> {
         let lines: Vec<String> = {
             let mut sh = self.shared.lock();
-            let store = sh.store_mut()?;
+            let store = sh.store.database_mut().map_err(store_err)?;
             store
                 .current()
                 .relations()
@@ -1509,7 +955,7 @@ impl Interpreter {
     fn cmd_dump(&mut self, rel: &str) -> Result<(), CmdError> {
         let csv = {
             let mut sh = self.shared.lock();
-            let store = sh.store_mut()?;
+            let store = sh.store.database_mut().map_err(store_err)?;
             let rel = store
                 .current()
                 .relation(rel)
@@ -1544,7 +990,9 @@ impl Interpreter {
             None => (0..arity).collect(),
         };
         let schema = RelationSchema::new(rel, header.attributes, key);
-        self.shared.lock().ensure_relation(&schema)?;
+        self.shared
+            .lock()
+            .write(|store, spans| store.ensure_relation(&schema, spans))?;
         if self.isolated {
             let txn = self.txn.get_or_insert_with(Changeset::new);
             let mut n = 0usize;
@@ -1559,7 +1007,7 @@ impl Interpreter {
         }
         let n = {
             let mut sh = self.shared.lock();
-            let store = sh.store_mut()?;
+            let store = sh.store.database_mut().map_err(store_err)?;
             let mut n = 0usize;
             for t in tuples {
                 if store.insert(rel, t).map_err(|e| cite_err(e.to_string()))? {
@@ -1572,18 +1020,22 @@ impl Interpreter {
         Ok(())
     }
 
-    /// Commits one ingest batch through the normal write path: the
-    /// group committer when this session has one (network sessions),
-    /// otherwise inline under the store lock — exactly like `commit`.
-    fn commit_ingest_batch(&mut self, changes: Changeset) -> Result<u64, CmdError> {
+    /// Commits one transaction through the normal write path: the group
+    /// committer when this session has one (network sessions), otherwise
+    /// the same apply + seal inline under the store lock.
+    fn commit_changes(&self, changes: Changeset) -> Result<CommitAck, CmdError> {
         if let Some(handle) = &self.committer {
-            return Ok(handle.commit(changes).map_err(cite_err)?.version);
+            return handle.commit(changes).map_err(cite_err);
         }
         let mut sh = self.shared.lock();
-        sh.apply_changes(&changes)?;
-        let v = sh.seal_version()?;
+        let applied = sh.store.apply(&changes).map_err(store_err)?;
+        let version = sh.seal()?;
         sh.obs.commits.inc();
-        Ok(v)
+        Ok(CommitAck {
+            version,
+            applied,
+            group_size: 1,
+        })
     }
 
     /// `ingest '<dir>'`: stream every `<Relation>.csv` / `<Relation>.jsonl`
@@ -1625,7 +1077,9 @@ impl Interpreter {
         // one checkpoint instead of one per file.
         for f in &files {
             let r = DumpReader::open(&dir_path.join(&f.file), &f.relation, f.jsonl, &cfg)?;
-            self.shared.lock().ensure_relation(r.schema())?;
+            self.shared
+                .lock()
+                .write(|store, spans| store.ensure_relation(r.schema(), spans))?;
         }
         let mut first_version = 0u64;
         let mut last_version = 0u64;
@@ -1643,7 +1097,7 @@ impl Interpreter {
                 for t in batch {
                     changes.insert(&f.relation, t);
                 }
-                let version = self.commit_ingest_batch(changes)?;
+                let version = self.commit_changes(changes)?.version;
                 if first_version == 0 {
                     first_version = version;
                 }
@@ -1671,7 +1125,7 @@ impl Interpreter {
         }
         let fixity = {
             let mut sh = self.shared.lock();
-            let store = sh.store_mut()?;
+            let store = sh.store.database_mut().map_err(store_err)?;
             if last_version == 0 {
                 // All dump files were empty: pin against the store's
                 // current version.
@@ -1689,7 +1143,12 @@ impl Interpreter {
         ));
         let manifest_file: Option<PathBuf> = match manifest {
             Some(p) => Some(PathBuf::from(p)),
-            None => self.shared.lock().data_dir().map(|d| d.join(MANIFEST_FILE)),
+            None => self
+                .shared
+                .lock()
+                .store
+                .data_dir()
+                .map(|d| d.join(MANIFEST_FILE)),
         };
         let Some(path) = manifest_file else {
             self.say(
@@ -1746,7 +1205,7 @@ impl Interpreter {
 
     /// `datasets`: list the loads registered in the store's manifest.
     fn cmd_datasets(&mut self) -> Result<(), CmdError> {
-        let Some(dir) = self.shared.lock().data_dir() else {
+        let Some(dir) = self.shared.lock().store.data_dir().map(Path::to_path_buf) else {
             return Err(cite_err(
                 "no durable data directory (datasets are registered in <data-dir>/datasets.lock)",
             ));
@@ -1781,7 +1240,7 @@ impl Interpreter {
     fn cmd_dataset_verify(&mut self, manifest: Option<&str>) -> Result<(), CmdError> {
         let path = match manifest {
             Some(p) => PathBuf::from(p),
-            None => match self.shared.lock().data_dir() {
+            None => match self.shared.lock().store.data_dir() {
                 Some(d) => d.join(MANIFEST_FILE),
                 None => {
                     return Err(parse_err(
@@ -1798,28 +1257,17 @@ impl Interpreter {
         {
             let mut sh = self.shared.lock();
             for d in &m.datasets {
-                let got = match sh.store_mut()?.digest_at(d.last_version) {
-                    Ok(g) => Some(g),
-                    Err(StorageError::CompactedVersion { .. }) => {
-                        let fallback = sh
-                            .durability
-                            .as_ref()
-                            .map(|h| h.database_at(d.last_version))
-                            .transpose()
-                            .map_err(|e| cite_err(e.to_string()))?
-                            .flatten();
-                        match fallback {
-                            Some((snapshot, _)) => Some(digest_database(&snapshot)),
-                            None => {
-                                notes.push(format!(
-                                    "dataset {}: fixity unverifiable (version {} compacted)",
-                                    d.name, d.last_version
-                                ));
-                                None
-                            }
-                        }
+                let got = match sh.store.as_of(d.last_version).map_err(store_err)? {
+                    AsOf::Memory(snapshot) | AsOf::Anchor(snapshot, _) => {
+                        Some(digest_database(&snapshot))
                     }
-                    Err(e) => return Err(cite_err(e.to_string())),
+                    AsOf::Compacted { .. } => {
+                        notes.push(format!(
+                            "dataset {}: fixity unverifiable (version {} compacted)",
+                            d.name, d.last_version
+                        ));
+                        None
+                    }
                 };
                 if let Some(got) = got {
                     if got != d.fixity {
@@ -1857,38 +1305,18 @@ impl Interpreter {
     /// Versions compacted from memory are digested from their durable
     /// anchor when one covers them.
     fn cmd_snapshot(&mut self, version: Option<u64>) -> Result<(), CmdError> {
-        let (version, digest) = {
+        let (version, snapshot) = {
             let mut sh = self.shared.lock();
-            let store = sh.store_mut()?;
             let v = match version {
                 Some(v) => v,
-                None => store.latest_version(),
+                None => sh.store.database_mut().map_err(store_err)?.latest_version(),
             };
-            match store.digest_at(v) {
-                Ok(d) => (v, d),
-                Err(StorageError::CompactedVersion { .. }) => {
-                    let fallback = sh
-                        .durability
-                        .as_ref()
-                        .map(|d| d.database_at(v))
-                        .transpose()
-                        .map_err(|e| cite_err(e.to_string()))?
-                        .flatten();
-                    match fallback {
-                        Some((snapshot, _)) => (v, digest_database(&snapshot)),
-                        // As in `cite … @`: name the true retained floor,
-                        // not just the in-memory log's base.
-                        None => {
-                            let oldest = sh.history_base_version();
-                            return Err(cite_err(
-                                StorageError::CompactedVersion { version: v, oldest }.to_string(),
-                            ));
-                        }
-                    }
-                }
-                Err(e) => return Err(cite_err(e.to_string())),
+            match sh.store.as_of(v).map_err(store_err)? {
+                AsOf::Memory(snapshot) | AsOf::Anchor(snapshot, _) => (v, snapshot),
+                AsOf::Compacted { oldest } => return Err(compacted(v, oldest)),
             }
         };
+        let digest = digest_database(&snapshot);
         self.say(format!("snapshot v{version} sha256:{digest}"));
         Ok(())
     }
@@ -1904,7 +1332,10 @@ impl Interpreter {
             ));
         }
         let window = window.unwrap_or(0);
-        let (floor, pruned) = self.shared.lock().compact_history(window)?;
+        let (floor, pruned) = self
+            .shared
+            .lock()
+            .write(|store, spans| store.compact(window, spans))?;
         self.say(format!(
             "compacted to version {floor} ({pruned} anchor(s) pruned)"
         ));
@@ -1920,7 +1351,10 @@ impl Interpreter {
                 "transaction open: run 'commit' (or 'rollback') before 'checkpoint'",
             ));
         }
-        let version = self.shared.lock().write_checkpoint()?;
+        let version = self
+            .shared
+            .lock()
+            .write(|store, spans| store.write_checkpoint(spans))?;
         self.say(format!("checkpoint at version {version}"));
         Ok(())
     }
@@ -1936,11 +1370,11 @@ impl Interpreter {
         let (plans, views, wal, base, retained, primary, peers) = {
             let sh = self.shared.lock();
             (
-                sh.plans_strict.stats(),
-                sh.view_cache_stats().unwrap_or_default(),
-                sh.wal_records(),
-                sh.history_base_version(),
-                sh.checkpoints_retained(),
+                sh.store.plan_cache_stats(),
+                sh.store.view_cache_stats().unwrap_or_default(),
+                sh.store.wal_records(),
+                sh.store.history_base_version(),
+                sh.store.checkpoints_retained(),
                 sh.primary_addr().map(str::to_string),
                 sh.replica_peers(),
             )
@@ -1990,44 +1424,13 @@ impl Interpreter {
         self.say(text.trim_end());
         Ok(())
     }
+}
 
-    /// Counters of the strict (non-partial) plan cache — how much
-    /// rewriting-search work the session has amortized.
-    pub fn plan_cache_stats(&self) -> citesys_core::PlanCacheStats {
-        self.shared.lock().plan_cache_stats()
-    }
-
-    /// Serializes the strict plan cache to the `citesys-plan-cache v1`
-    /// text form (the checkpoint's plan section). The partial-fallback
-    /// cache is session-local and not persisted.
-    pub fn export_plans(&self) -> String {
-        self.shared.lock().export_plans()
-    }
-
-    /// Loads plans serialized by [`export_plans`](Self::export_plans)
-    /// into the strict plan cache, returning how many were loaded.
-    ///
-    /// Plans are only sound for the registry they were computed under;
-    /// registering a view afterwards replaces the cache (dropping the
-    /// imported plans), which keeps a stale import from outliving a
-    /// changed rewriting space within a session.
-    pub fn import_plans(&mut self, text: &str) -> Result<usize, String> {
-        self.shared.lock().import_plans(text)
-    }
-
-    /// Materialized-view cache counters of the session's cached service,
-    /// if one has been built (i.e. after the first `cite`). After a
-    /// `commit`, these show whether the commit was carried by batch delta
-    /// maintenance (views `untouched`/`deltas_applied`) instead of
-    /// re-materialization.
-    pub fn view_cache_stats(&self) -> Option<citesys_core::ViewCacheStats> {
-        self.shared.lock().view_cache_stats()
-    }
-
-    /// A clone of the interpreter's registry (for inspection in tests).
-    pub fn registry(&self) -> CitationRegistry {
-        self.shared.lock().registry()
-    }
+/// The compacted-history error, naming the oldest version that still
+/// serves — after a restart the in-memory log starts at the last
+/// checkpoint, but retained anchors can reach further back.
+fn compacted(version: u64, oldest: u64) -> CmdError {
+    cite_err(StorageError::CompactedVersion { version, oldest }.to_string())
 }
 
 /// One ingestible dump file discovered under an `ingest` directory.
@@ -2135,6 +1538,16 @@ impl DumpReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use citesys_core::{PlanCacheStats, ViewCacheStats};
+    use citesys_storage::{DurableStore, FailingAppends, MemStore};
+
+    fn view_stats(interp: &Interpreter) -> Option<ViewCacheStats> {
+        interp.shared().lock().store().view_cache_stats()
+    }
+
+    fn plan_stats(interp: &Interpreter) -> PlanCacheStats {
+        interp.shared().lock().store().plan_cache_stats()
+    }
 
     const PAPER_SCRIPT: &str = r#"
 # the paper's worked example
@@ -2167,7 +1580,7 @@ verify
         assert!(out.contains("1 answer tuple(s) at version 1"));
         assert!(out.contains("IUPHAR/BPS Guide to PHARMACOLOGY..."));
         assert!(out.contains("fixity verified: v1"));
-        assert_eq!(interp.registry().len(), 3);
+        assert_eq!(interp.shared().lock().store().registry().len(), 3);
     }
 
     #[test]
@@ -2410,7 +1823,7 @@ cite Q(B) :- S(B)
         // silently serve wrong answers.
         let mut interp = Interpreter::new();
         interp.run(PAPER_SCRIPT).unwrap(); // cite → service cached at v1
-        let warm = interp.view_cache_stats().unwrap();
+        let warm = view_stats(&interp).unwrap();
         let out = interp
             .run(
                 "insert FamilyIntro(13, '3rd')\n\
@@ -2424,7 +1837,7 @@ cite Q(B) :- S(B)
         // All three intros visible: the pre-begin Dopamine intro AND the
         // transactional Ghrelin family+intro.
         assert!(out.contains("3 answer tuple(s) at version 2"), "{out}");
-        let s = interp.view_cache_stats().unwrap();
+        let s = view_stats(&interp).unwrap();
         assert_eq!(
             s.materializations, warm.materializations,
             "carried by delta, not re-materialized: {s:?}"
@@ -2456,7 +1869,7 @@ cite Q(B) :- S(B)
     fn commit_delta_maintains_the_cached_service() {
         let mut interp = Interpreter::new();
         interp.run(PAPER_SCRIPT).unwrap();
-        let warm = interp.view_cache_stats().expect("service built by cite");
+        let warm = view_stats(&interp).expect("service built by cite");
         assert!(warm.materializations > 0);
         assert_eq!(warm.drops, 0);
         // A transactional commit: the service is carried by one batch
@@ -2469,14 +1882,14 @@ cite Q(B) :- S(B)
             .run_line("cite Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)")
             .unwrap();
         assert!(out.contains("2 answer tuple(s) at version 2"), "{out}");
-        let s = interp.view_cache_stats().unwrap();
+        let s = view_stats(&interp).unwrap();
         assert_eq!(
             s.materializations, warm.materializations,
             "no re-materialization across the commit: {s:?}"
         );
         assert!(s.deltas_applied > 0, "{s:?}");
         assert_eq!(s.drops, 0, "{s:?}");
-        let stats = interp.plan_cache_stats();
+        let stats = plan_stats(&interp);
         assert!(stats.hits >= 1, "plan survived the commit: {stats:?}");
     }
 
@@ -2492,7 +1905,7 @@ cite Q(B) :- S(B)
                 ))
                 .unwrap();
         }
-        let stats = interp.plan_cache_stats();
+        let stats = plan_stats(&interp);
         assert_eq!(stats.misses, 2, "paper query + the parameterized shape");
         assert!(stats.hits >= 3, "λ-variants must share one plan: {stats:?}");
     }
@@ -2501,7 +1914,7 @@ cite Q(B) :- S(B)
     fn export_import_plans_round_trip() {
         let mut warm = Interpreter::new();
         warm.run(PAPER_SCRIPT).unwrap();
-        let exported = warm.export_plans();
+        let exported = warm.shared().lock().store().export_plans();
         assert!(exported.starts_with("citesys-plan-cache v1"));
 
         // A second session with the same views: imported plans serve the
@@ -2513,17 +1926,22 @@ cite Q(B) :- S(B)
             .join("\n");
         let mut cold = Interpreter::new();
         cold.run(&setup_only).unwrap();
-        let n = cold.import_plans(&exported).unwrap();
+        let n = cold
+            .shared()
+            .lock()
+            .store()
+            .import_plans(&exported)
+            .unwrap();
         assert_eq!(n, 1);
         cold.run_line("cite Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)")
             .unwrap();
-        let stats = cold.plan_cache_stats();
+        let stats = plan_stats(&cold);
         assert_eq!((stats.hits, stats.misses), (1, 0), "served from import");
     }
 
     #[test]
     fn corrupt_plan_import_is_rejected() {
-        assert!(Interpreter::new().import_plans("garbage").is_err());
+        assert!(Store::new().import_plans("garbage").is_err());
     }
 
     #[test]
@@ -2611,5 +2029,49 @@ cite Q(B) :- S(B)
         assert!(e.message.contains("transaction rolled back"), "{e}");
         let out = a.run_line("tables").unwrap();
         assert!(out.contains("R: 1 tuples"), "{out}");
+    }
+
+    #[test]
+    fn failed_wal_append_refuses_the_commit_and_leaks_nothing() {
+        let backend = MemStore::new();
+        let open = |backend: Box<dyn DurableStore + Send>| {
+            let store = Store::open(DurableHandle::new(backend)).unwrap();
+            Arc::new(Mutex::new(SharedStore::new(store)))
+        };
+        Interpreter::with_store(open(Box::new(backend.reopen())))
+            .run(PAPER_SCRIPT)
+            .unwrap();
+        // Restart with a disk that refuses the next append.
+        let failing = FailingAppends {
+            inner: backend.reopen(),
+            failures: 1,
+        };
+        let mut session = Interpreter::session(open(Box::new(failing)), None);
+        let cite = "cite Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)";
+        session.run_line("insert FamilyIntro(13, '3rd')").unwrap();
+        let e = session.run_line("commit").unwrap_err();
+        assert!(e.message.starts_with("write-ahead log:"), "{e}");
+        assert!(e.message.contains("injected"), "{e}");
+        // The refused commit left nothing pending: cites serve version 1.
+        let out = session.run_line(cite).unwrap();
+        assert!(out.contains("1 answer tuple(s) at version 1"), "{out}");
+        // The next commit seals its own op only.
+        session.run_line("insert Committee(13, 'Eve')").unwrap();
+        let out = session.run_line("commit").unwrap();
+        assert!(
+            out.contains("committed version 2 (1 op(s), group of 1)"),
+            "{out}"
+        );
+        assert!(!session
+            .run_line("dump FamilyIntro")
+            .unwrap()
+            .contains("3rd"));
+        let out = session.run_line(cite).unwrap();
+        assert!(out.contains("1 answer tuple(s) at version 2"), "{out}");
+        // Nor did it reach the backend.
+        let mut revived = Interpreter::with_store(open(Box::new(backend.reopen())));
+        let dump = revived.run_line("dump FamilyIntro").unwrap();
+        assert!(!dump.contains("3rd"), "{dump}");
+        assert!(revived.run_line("dump Committee").unwrap().contains("Eve"));
     }
 }

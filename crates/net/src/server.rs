@@ -138,13 +138,16 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = match &config.data_dir {
-            Some(dir) => Arc::new(Mutex::new(
-                SharedStore::open_durable_with_retention(dir, config.retain_checkpoints)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-            )),
+            Some(dir) => {
+                SharedStore::open_durable_shared_with_retention(dir, config.retain_checkpoints)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            }
             None => SharedStore::new_shared(),
         };
-        shared.lock().set_checkpoint_every(config.checkpoint_every);
+        shared
+            .lock()
+            .store_mut()
+            .set_checkpoint_every(config.checkpoint_every);
         shared.lock().set_slow_cite_ms(config.slow_cite_ms);
         // A scrape endpoint without timings would expose empty
         // histograms, so --metrics implies timings on. (Counters and

@@ -78,7 +78,7 @@ fn recover_equals_pre_crash_acked_state() {
         let expected_cite = live.run_line(CITE).unwrap();
         let expected_tables = live.run_line("tables").unwrap();
         let expected_dump = live.run_line("dump Family").unwrap();
-        let live_views = live.view_cache_stats().unwrap();
+        let live_views = live.shared().lock().store().view_cache_stats().unwrap();
         // CRASH: drop without checkpoint, clean save or shutdown.
         drop(live);
 
@@ -106,13 +106,13 @@ fn recover_equals_pre_crash_acked_state() {
         // Warmth: the recovered service re-cites without materializing
         // any view from scratch (checkpoint seeded them; WAL replay
         // carried them by delta), and without a fresh rewriting search.
-        let stats = revived.view_cache_stats().unwrap();
+        let stats = revived.shared().lock().store().view_cache_stats().unwrap();
         assert_eq!(
             stats.materializations, 0,
             "history {i}: views recovered warm: {stats:?} (live was {live_views:?})"
         );
         assert_eq!(stats.drops, 0, "history {i}: {stats:?}");
-        let plans = revived.plan_cache_stats();
+        let plans = revived.shared().lock().store().plan_cache_stats();
         assert_eq!(
             (plans.hits, plans.misses),
             (1, 0),
@@ -233,10 +233,9 @@ fn ddl_checkpoint_makes_first_commit_recoverable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `Interpreter::view_cache_stats`/`plan_cache_stats` helpers used above
-/// go through the shared store; make sure an isolated session over the
-/// same recovered store sees the same data (sessions share one durable
-/// store).
+/// The warmth checks above read the shared store; make sure an isolated
+/// session over the same recovered store sees the same data (sessions
+/// share one durable store).
 #[test]
 fn recovered_store_is_shared_across_sessions() {
     let dir = temp_dir("shared");

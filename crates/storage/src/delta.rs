@@ -342,22 +342,28 @@ impl Changeset {
                 Ok(true) => applied.push(op.clone()),
                 Ok(false) => {}
                 Err(e) => {
-                    for undo in applied.iter().rev() {
-                        match undo {
-                            Op::Insert(rel, t) => {
-                                db.delete(rel.as_str(), t).expect("undo of applied insert");
-                            }
-                            Op::Delete(rel, t) => {
-                                db.insert(rel.as_str(), t.clone())
-                                    .expect("undo of applied delete");
-                            }
-                        }
-                    }
+                    undo(db, &applied);
                     return Err(e);
                 }
             }
         }
         Ok(applied)
+    }
+}
+
+/// Undoes `applied` — effective ops that were applied to `db`, in order
+/// — in reverse order, leaving `db` as it was before the first of them.
+pub(crate) fn undo(db: &mut Database, applied: &[Op]) {
+    for op in applied.iter().rev() {
+        match op {
+            Op::Insert(rel, t) => {
+                db.delete(rel.as_str(), t).expect("undo of applied insert");
+            }
+            Op::Delete(rel, t) => {
+                db.insert(rel.as_str(), t.clone())
+                    .expect("undo of applied delete");
+            }
+        }
     }
 }
 

@@ -1353,6 +1353,42 @@ impl DurableStore for MemStore {
     }
 }
 
+/// A [`MemStore`] whose next `failures` WAL appends fail, as on a full
+/// disk — fault injection for the write path's error handling. Every
+/// other operation goes straight to `inner`.
+#[derive(Debug)]
+pub struct FailingAppends {
+    /// The backend that persists everything that does not fail.
+    pub inner: MemStore,
+    /// How many of the next appends to refuse.
+    pub failures: usize,
+}
+
+impl DurableStore for FailingAppends {
+    fn log_changeset(&mut self, version: u64, changes: &Changeset) -> Result<(), DurabilityError> {
+        if self.failures > 0 {
+            self.failures -= 1;
+            return Err(DurabilityError::Io {
+                path: PathBuf::from(WAL_FILE),
+                source: io::Error::other("injected append failure"),
+            });
+        }
+        self.inner.log_changeset(version, changes)
+    }
+
+    fn checkpoint(&mut self, data: &CheckpointData) -> Result<(), DurabilityError> {
+        self.inner.checkpoint(data)
+    }
+
+    fn take_recovery(&mut self) -> Recovery {
+        self.inner.take_recovery()
+    }
+
+    fn wal_records(&self) -> usize {
+        self.inner.wal_records()
+    }
+}
+
 /// Groups per-relation tuple counts for human-facing recovery summaries
 /// (`citesys recover`).
 pub fn summarize_database(db: &Database) -> BTreeMap<String, usize> {

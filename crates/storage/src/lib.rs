@@ -55,8 +55,8 @@ pub use csv::{
 pub use database::{Database, SharedDatabase};
 pub use delta::{Changeset, NetChanges};
 pub use durability::{
-    manifest_version, CheckpointData, DurabilityError, DurableStore, FileStore, MemStore, Recovery,
-    Wal, WalRecord, ANCHORS_DIR, FORMAT_VERSION,
+    manifest_version, CheckpointData, DurabilityError, DurableStore, FailingAppends, FileStore,
+    MemStore, Recovery, Wal, WalRecord, ANCHORS_DIR, FORMAT_VERSION,
 };
 pub use error::StorageError;
 pub use eval::{evaluate, explain, AnswerRow, Binding, PlanStep, QueryAnswer};

@@ -165,6 +165,13 @@ impl VersionedDatabase {
         &self.pending
     }
 
+    /// Undoes every pending operation, in reverse order, so the working
+    /// state equals the latest committed version again — what a commit
+    /// whose write-ahead-log append failed must leave behind.
+    pub fn discard_pending(&mut self) {
+        crate::delta::undo(&mut self.current, &std::mem::take(&mut self.pending));
+    }
+
     /// Commits pending operations as a new version; returns its number.
     /// Committing with no pending ops still creates a (data-identical)
     /// version, mirroring how curated releases are cut on a schedule.
@@ -425,6 +432,21 @@ mod tests {
         let ver = v.commit();
         assert_eq!(v.ops_in(ver), Some(2));
         assert_eq!(v.snapshot(ver).unwrap().total_tuples(), 1);
+    }
+
+    #[test]
+    fn discard_pending_restores_the_committed_state() {
+        let mut v = VersionedDatabase::new(schemas()).unwrap();
+        v.insert("Family", tuple![11, "Calcitonin"]).unwrap();
+        v.commit();
+        v.delete("Family", &tuple![11, "Calcitonin"]).unwrap();
+        v.insert("Family", tuple![11, "Renamed"]).unwrap();
+        v.insert("Family", tuple![12, "Dopamine"]).unwrap();
+        v.discard_pending();
+        assert!(!v.has_pending());
+        assert_eq!(digest_database(v.current()), v.digest_at(1).unwrap());
+        assert_eq!(v.commit(), 2);
+        assert_eq!(v.ops_in(2), Some(0), "nothing discarded leaks forward");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Concurrent serving: one warm `CitationService` cloned across worker
-//! threads, with a writer applying data updates through an
-//! `IncrementalEngine` while readers keep citing.
+//! threads, with a writer committing data updates through a `Store`
+//! while readers keep citing.
 //!
 //! Run with: `cargo run --example concurrent_service`
 //!
@@ -9,33 +9,36 @@
 //! * clones share the **sharded plan cache** — only the first cite of a
 //!   query shape pays for the rewriting search, and read hits take only
 //!   a shard's shared lock;
-//! * single-tuple updates **delta-maintain the materialized views** —
-//!   after an update, unaffected views are carried over verbatim and the
-//!   plan-cache hit counters keep climbing instead of resetting;
+//! * each commit **delta-maintains the materialized views** — unaffected
+//!   views are carried over verbatim and the plan-cache hit counters keep
+//!   climbing instead of resetting;
 //! * readers racing an update always observe one consistent snapshot
 //!   (old or new), never a mix.
 
 use std::sync::{Arc, Mutex};
 
 use citesys::core::paper;
-use citesys::core::{CitationMode, CitationService, EngineOptions, IncrementalEngine};
+use citesys::core::{Changeset, CitationMode, CitationService, EngineOptions, SpanSet, Store};
 use citesys::storage::tuple;
 
 fn main() {
-    let mut engine = IncrementalEngine::new(
-        paper::paper_database(),
-        paper::paper_registry(),
-        EngineOptions {
-            mode: CitationMode::Formal,
-            ..Default::default()
-        },
-    );
+    let mut store = Store::from_database(&paper::paper_database(), paper::paper_registry())
+        .expect("the paper's data commits");
+    let options = EngineOptions {
+        mode: CitationMode::Formal,
+        ..Default::default()
+    };
+    // The service over the latest version, carried across every commit.
+    let service = |store: &mut Store| {
+        let version = store.latest_version();
+        store.service_at(version, options).expect("service").0
+    };
     let q = paper::paper_query();
-    engine.cite(&q).expect("coverable");
+    service(&mut store).cite(&q).expect("coverable");
 
     // Publish a snapshot service for the reader threads; the writer
-    // replaces it after every update.
-    let published: Arc<Mutex<CitationService>> = Arc::new(Mutex::new(engine.snapshot_service()));
+    // replaces it after every commit.
+    let published: Arc<Mutex<CitationService>> = Arc::new(Mutex::new(service(&mut store)));
 
     const READERS: usize = 4;
     const CITES_PER_READER: usize = 200;
@@ -59,15 +62,18 @@ fn main() {
             }));
         }
 
-        // The writer: flip Dopamine's intro in and out. Each update is
+        // The writer: flip Dopamine's intro in and out. Each commit is
         // delta-maintained — no view is re-materialized from scratch.
         for i in 0..UPDATES {
+            let mut changes = Changeset::new();
             if i % 2 == 0 {
-                engine.insert("FamilyIntro", tuple![13, "3rd"]).unwrap();
+                changes.insert("FamilyIntro", tuple![13, "3rd"]);
             } else {
-                engine.delete("FamilyIntro", &tuple![13, "3rd"]).unwrap();
+                changes.delete("FamilyIntro", tuple![13, "3rd"]);
             }
-            *published.lock().unwrap() = engine.snapshot_service();
+            store.apply(&changes).unwrap();
+            store.seal(&mut SpanSet::disabled()).unwrap();
+            *published.lock().unwrap() = service(&mut store);
         }
 
         for h in handles {
@@ -76,7 +82,7 @@ fn main() {
         }
     });
 
-    let service = engine.snapshot_service();
+    let service = service(&mut store);
     let plans = service.plan_cache_stats();
     let views = service.view_cache_stats();
     println!("\n== after {UPDATES} updates ==");

@@ -94,6 +94,23 @@ if grep -n 'serve --plan-cache' README.md; then
     echo "README.md must not quickstart the removed --plan-cache flag"; fail=1
 fi
 
+# Content contract for the one write path: the architecture doc must
+# name Store::seal as where "ack implies durable" holds, with the
+# rollback after a failed append; the migration guide must map the
+# removed IncrementalEngine and E14/E15; nothing else may still
+# advertise them.
+grep -q 'Store::seal' ARCHITECTURE.md \
+    || { echo "ARCHITECTURE.md must name Store::seal as the commit path"; fail=1; }
+grep -q 'discard_pending' ARCHITECTURE.md \
+    || { echo "ARCHITECTURE.md must document the rollback after a failed WAL append"; fail=1; }
+grep -q 'IncrementalEngine.*|.*citesys_core::Store' MIGRATION.md \
+    || { echo "MIGRATION.md must map the removed IncrementalEngine to citesys_core::Store"; fail=1; }
+grep -q 'E14, E15.*|.*lookup.*curate' MIGRATION.md \
+    || { echo "MIGRATION.md must map the removed E14/E15 to the benchmark workloads"; fail=1; }
+if grep -n 'IncrementalEngine\|\be14\b\|\be15\b\|E14\|E15' README.md ARCHITECTURE.md; then
+    echo "README.md and ARCHITECTURE.md must not advertise IncrementalEngine or E14/E15"; fail=1
+fi
+
 # Content contract for the replication subsystem: the architecture doc
 # must have a Replication section covering the readonly rejection and
 # the lag counter, the quickstart must show `serve --follow`, and the

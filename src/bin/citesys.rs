@@ -388,11 +388,12 @@ fn serve_stdin(opts: &ServeOpts) -> i32 {
             Ok(shared) => {
                 {
                     let mut sh = shared.lock();
-                    sh.set_checkpoint_every(opts.checkpoint_every);
+                    let store = sh.store_mut();
+                    store.set_checkpoint_every(opts.checkpoint_every);
                     if interactive {
                         eprintln!(
                             "durable store at {dir}: {} wal record(s) pending",
-                            sh.wal_records()
+                            store.wal_records()
                         );
                     }
                 }

@@ -4,7 +4,7 @@
 use citesys::core::paper;
 use citesys::core::{
     CitationFunction, CitationQuery, CitationRegistry, CitationService, CitationView, CiteError,
-    EngineOptions, IncrementalEngine,
+    EngineOptions, Store,
 };
 use citesys::cq::parse_query;
 use citesys::rewrite::RewriteOptions;
@@ -97,24 +97,25 @@ fn rewrite_budget_propagates() {
     assert!(matches!(err, CiteError::Rewrite(_)), "{err}");
 }
 
-/// The incremental engine's cache stays consistent when a cite fails.
+/// A store's plan cache stays consistent when a cite fails: the failing
+/// query does not disturb the cached plan of a good one.
 #[test]
 fn incremental_engine_error_does_not_poison_cache() {
-    let mut inc = IncrementalEngine::new(
-        paper::paper_database(),
-        paper::paper_registry(),
-        EngineOptions::default(),
-    );
-    // Good query caches.
-    inc.cite(&paper::paper_query()).unwrap();
-    assert_eq!(inc.cached(), 1);
-    // Uncoverable query errors but leaves the cache alone.
+    let mut store =
+        Store::from_database(&paper::paper_database(), paper::paper_registry()).unwrap();
+    let (service, _) = store.service_at(1, EngineOptions::default()).unwrap();
+    // Good query caches its plan.
+    service.cite(&paper::paper_query()).unwrap();
+    // Uncoverable query errors…
     let bad = parse_query("Q(P) :- Committee(F, P)").unwrap();
-    assert!(inc.cite(&bad).is_err());
-    assert_eq!(inc.cached(), 1);
-    // The good query is still served from cache.
-    inc.cite(&paper::paper_query()).unwrap();
-    assert_eq!(inc.stats().hits, 1);
+    assert!(service.cite(&bad).is_err());
+    // …and the good query is still served from the cache, on the next
+    // service the store hands out too.
+    let (service, built) = store.service_at(1, EngineOptions::default()).unwrap();
+    assert!(!built);
+    let again = service.cite(&paper::paper_query()).unwrap();
+    assert_eq!(again.rewrite_stats.plan_cache_hits, 1);
+    assert_eq!(store.plan_cache_stats().hits, 1);
 }
 
 /// Arity mismatches between a query and the catalog are typed errors.

@@ -1,15 +1,24 @@
 //! Cross-crate semantic consistency: the citation algebra agrees with the
 //! provenance-semiring view of the same computation, and evolution
-//! (incremental caching) never changes results.
+//! (a store's delta-maintained caches) never changes results.
 
 use citesys::core::paper;
 use citesys::core::{
-    CitationMode, CitationService, EngineOptions, IncrementalEngine, PolicySet, RewritePolicy,
+    Changeset, CitationMode, CitationService, CitedAnswer, EngineOptions, PolicySet, RewritePolicy,
+    SpanSet, Store,
 };
+use citesys::cq::ConjunctiveQuery;
 use citesys::cq::{parse_query, Symbol};
 use citesys::gtopdb::{generate, GtopdbConfig};
 use citesys::provenance::{provenance, Why};
 use citesys::storage::tuple;
+
+fn formal() -> EngineOptions {
+    EngineOptions {
+        mode: CitationMode::Formal,
+        ..Default::default()
+    }
+}
 
 /// With identity views, the citation expression of a tuple under one
 /// rewriting mirrors the why-provenance of the tuple: one `·`-product per
@@ -32,10 +41,7 @@ fn citation_expression_mirrors_why_provenance() {
     let engine = CitationService::builder()
         .database(db.clone())
         .registry(registry.clone())
-        .options(EngineOptions {
-            mode: CitationMode::Formal,
-            ..Default::default()
-        })
+        .options(formal())
         .build()
         .unwrap();
     let cited = engine.cite(&q).unwrap();
@@ -66,10 +72,7 @@ fn summands_equal_bindings_at_scale() {
     let engine = CitationService::builder()
         .database(db.clone())
         .registry(registry.clone())
-        .options(EngineOptions {
-            mode: CitationMode::Formal,
-            ..Default::default()
-        })
+        .options(formal())
         .build()
         .unwrap();
     let cited = engine.cite(&q).unwrap();
@@ -96,8 +99,15 @@ fn summands_equal_bindings_at_scale() {
     }
 }
 
-/// The incremental engine returns byte-identical citations to a fresh
-/// engine after any sequence of updates.
+/// Cites `q` on the store's service at its latest version.
+fn cite(store: &mut Store, q: &ConjunctiveQuery, options: EngineOptions) -> CitedAnswer {
+    let version = store.latest_version();
+    let (service, _) = store.service_at(version, options).unwrap();
+    service.cite(q).unwrap()
+}
+
+/// The store's delta-maintained service returns byte-identical
+/// citations to a fresh engine after a commit of mixed updates.
 #[test]
 fn incremental_engine_consistent_with_fresh() {
     let cfg = GtopdbConfig {
@@ -107,39 +117,25 @@ fn incremental_engine_consistent_with_fresh() {
     let registry = citesys::gtopdb::full_registry();
     let q = parse_query("Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)").unwrap();
 
-    let mut inc = IncrementalEngine::new(
-        generate(&cfg),
-        registry.clone(),
-        EngineOptions {
-            mode: CitationMode::Formal,
-            ..Default::default()
-        },
-    );
-    // Warm the cache, apply updates, re-cite.
-    inc.cite(&q).unwrap();
-    inc.insert("Family", tuple![900, "Novel receptor", "N1"])
-        .unwrap();
-    inc.insert("FamilyIntro", tuple![900, "fresh intro"])
-        .unwrap();
-    inc.delete("FamilyIntro", &tuple![0, "Introductory text for family 0"])
-        .unwrap();
-    let incremental = inc.cite(&q).unwrap();
+    let mut store = Store::from_database(&generate(&cfg), registry.clone()).unwrap();
+    // Warm the caches, commit updates, re-cite.
+    cite(&mut store, &q, formal());
+    let mut changes = Changeset::new();
+    changes
+        .insert("Family", tuple![900, "Novel receptor", "N1"])
+        .insert("FamilyIntro", tuple![900, "fresh intro"])
+        .delete("FamilyIntro", tuple![0, "Introductory text for family 0"]);
+    store.apply(&changes).unwrap();
+    assert!(store.seal(&mut SpanSet::disabled()).unwrap().swapped);
+    let incremental = cite(&mut store, &q, formal());
 
     // Fresh engine over an identically mutated database.
     let mut db2 = generate(&cfg);
-    db2.insert("Family", tuple![900, "Novel receptor", "N1"])
-        .unwrap();
-    db2.insert("FamilyIntro", tuple![900, "fresh intro"])
-        .unwrap();
-    db2.delete("FamilyIntro", &tuple![0, "Introductory text for family 0"])
-        .unwrap();
+    changes.apply(&mut db2).unwrap();
     let fresh = CitationService::builder()
-        .database(db2.clone())
-        .registry(registry.clone())
-        .options(EngineOptions {
-            mode: CitationMode::Formal,
-            ..Default::default()
-        })
+        .database(db2)
+        .registry(registry)
+        .options(formal())
         .build()
         .unwrap()
         .cite(&q)
@@ -152,28 +148,33 @@ fn incremental_engine_consistent_with_fresh() {
     }
 }
 
-/// Caching statistics behave: hits accumulate, irrelevant deltas keep the
-/// cache, relevant deltas flush exactly the affected entries.
+/// Caching statistics behave: plan hits accumulate, an irrelevant delta
+/// leaves the views it cannot touch verbatim, a relevant one is carried
+/// into exactly the views that read its relation.
 #[test]
 fn incremental_cache_behaviour() {
-    let registry = citesys::gtopdb::full_registry();
-    let mut inc = IncrementalEngine::new(
-        generate(&GtopdbConfig::default()),
-        registry,
-        EngineOptions::default(),
-    );
+    let db = generate(&GtopdbConfig::default());
+    let mut store = Store::from_database(&db, citesys::gtopdb::full_registry()).unwrap();
     let q_fam = parse_query("Q(FID, FName, D) :- Family(FID, FName, D)").unwrap();
     let q_lig = parse_query("Q(LID, LName, T) :- Ligand(LID, LName, T)").unwrap();
-    inc.cite(&q_fam).unwrap();
-    inc.cite(&q_lig).unwrap();
-    assert_eq!(inc.cached(), 2);
+    let options = EngineOptions::default();
+    cite(&mut store, &q_fam, options);
+    cite(&mut store, &q_lig, options);
+    let warm = store.view_cache_stats().unwrap();
 
-    // Ligand insert must not flush the family citation.
-    inc.insert("Ligand", tuple![900, "novel-ligand", "peptide"])
-        .unwrap();
-    assert_eq!(inc.cached(), 1);
-    inc.cite(&q_fam).unwrap();
-    assert_eq!(inc.stats().hits, 1);
+    // A Ligand insert is carried into the ligand view only.
+    let mut changes = Changeset::new();
+    changes.insert("Ligand", tuple![900, "novel-ligand", "peptide"]);
+    store.apply(&changes).unwrap();
+    store.seal(&mut SpanSet::disabled()).unwrap();
+    let s = store.view_cache_stats().unwrap();
+    assert_eq!(s.deltas_applied - warm.deltas_applied, 1, "{s:?}");
+    assert!(s.untouched > warm.untouched, "{s:?}");
+    assert_eq!(s.materializations, warm.materializations, "{s:?}");
+
+    let again = cite(&mut store, &q_fam, options);
+    assert_eq!(again.rewrite_stats.plan_cache_hits, 1);
+    assert!(store.plan_cache_stats().hits >= 1);
 }
 
 /// Policy monotonicity at scale: every tuple's min-size citation is a
