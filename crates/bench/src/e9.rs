@@ -1,11 +1,10 @@
 //! E9 — cost of the citation algebra itself: building and normalizing
-//! large symbolic expressions, and the provenance-polynomial operations
-//! they piggyback on (§2's semiring modelling).
+//! large symbolic expressions, and interpreting them under the served
+//! policies (§2's `+R` choice and per-tuple `·`/`+` interpretation).
 
-use citesys_core::{CiteAtom, CiteExpr};
+use citesys_core::policy::{atoms_for_tuple, choose_rewriting};
+use citesys_core::{CiteAtom, CiteExpr, PolicySet, RewritePolicy, RewritingChoice};
 use citesys_cq::Value;
-use citesys_provenance::{Polynomial, ProvToken, Semiring};
-use citesys_storage::Tuple;
 
 use crate::table::{timed, us, Table};
 
@@ -23,12 +22,22 @@ pub fn binding_sum(n: usize) -> CiteExpr {
     CiteExpr::Sum(summands)
 }
 
-/// A polynomial with `n` monomials over `n` variables.
-pub fn poly(n: usize) -> Polynomial {
-    Polynomial::sum(
-        (0..n)
-            .map(|i| Polynomial::var(ProvToken::new("R", Tuple::new(vec![Value::Int(i as i64)])))),
-    )
+/// An `n`-row × 2-branch matrix in the paper's Q1/Q2 shape: branch 0
+/// cites a parameterized view per row (`CV1(i)·CV3`), branch 1 the same
+/// constant views on every row (`CV2·CV3`).
+pub fn branch_matrix(n: usize) -> Vec<Vec<CiteExpr>> {
+    let atom = |view: &str, params: Vec<Value>| CiteExpr::Atom(CiteAtom::new(view, params));
+    (0..n)
+        .map(|i| {
+            vec![
+                CiteExpr::prod(vec![
+                    atom("V1", vec![Value::Int(i as i64)]),
+                    atom("V3", vec![]),
+                ]),
+                CiteExpr::prod(vec![atom("V2", vec![]), atom("V3", vec![])]),
+            ]
+        })
+        .collect()
 }
 
 /// Builds the E9 table.
@@ -38,40 +47,45 @@ pub fn table(quick: bool) -> Table {
     } else {
         &[100, 1_000, 10_000]
     };
+    let policies = PolicySet::paper_default();
     let mut rows = Vec::new();
     for &n in sizes {
         let raw = binding_sum(n);
         let (normalized, norm_t) = timed(|| raw.normalize());
         let (size, size_t) = timed(|| normalized.estimated_size());
-        // Polynomial products are quadratic in the factor sizes; sweep a
-        // tenth of n so the largest point stays in the hundreds of
-        // milliseconds.
-        let p = poly(n / 10 + 1);
-        let q = poly(n / 20 + 1);
-        let (prod, mul_t) = timed(|| p.mul(&q));
-        let (_, eval_t) = timed(|| prod.eval_in::<u64>(&|_| 1));
+        let matrix = branch_matrix(n);
+        let (choice, choose_t) = timed(|| choose_rewriting(RewritePolicy::MinSize, &matrix));
+        let (_, atoms_t) = timed(|| {
+            for branches in &matrix {
+                std::hint::black_box(atoms_for_tuple(&policies, branches, choice));
+            }
+        });
+        let chosen = match choice {
+            RewritingChoice::Index(i) => i.to_string(),
+            RewritingChoice::All => "all".into(),
+        };
         rows.push(vec![
             n.to_string(),
             us(norm_t),
             size.to_string(),
             us(size_t),
-            prod.term_count().to_string(),
-            us(mul_t),
-            us(eval_t),
+            chosen,
+            us(choose_t),
+            us(atoms_t / n as u32),
         ]);
     }
     Table {
         id: "E9",
-        title: "Algebra micro-costs: normalization, size estimation, polynomial ops",
-        expectation: "normalization ~n log n; estimated size = n+1 distinct atoms; poly ops superlinear but tractable",
+        title: "Algebra micro-costs: normalization, size estimation, +R choice, per-row interpretation",
+        expectation: "normalization ~n log n; estimated size = n+1 distinct atoms; min-size picks the constant branch 1 in time linear in n; per-row interpretation flat in n",
         headers: vec![
-            "n bindings".into(),
+            "n bindings / rows".into(),
             "normalize µs".into(),
             "estimated size".into(),
             "size µs".into(),
-            "poly product terms".into(),
-            "poly mul µs".into(),
-            "poly eval µs".into(),
+            "min-size branch".into(),
+            "choose µs".into(),
+            "atoms/row µs".into(),
         ],
         rows,
     }
@@ -86,14 +100,5 @@ mod tests {
         let e = binding_sum(50).normalize();
         // 50 distinct CV1 params + shared CV3.
         assert_eq!(e.estimated_size(), 51);
-    }
-
-    #[test]
-    fn poly_product_terms() {
-        // (r0+r1+r2+r3)(r0+r1+r2) — commuting monomials merge:
-        // 3 squares + 6 distinct unordered pairs = 9 terms.
-        let p = poly(4);
-        let q = poly(3);
-        assert_eq!(p.mul(&q).term_count(), 9);
     }
 }

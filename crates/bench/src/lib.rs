@@ -15,7 +15,7 @@
 //! | E6 | §3 fixity / versioning cost | [`e6`] |
 //! | E7 | §3 citation evolution (incremental) | [`e7`] |
 //! | E8 | §3 view selection for a workload | [`e8`] |
-//! | E9 | §2 algebra/normalization cost | [`e9`] |
+//! | E9 | §2 algebra cost: normalize, size, `+R` choice, per-row atoms | [`e9`] |
 //! | E10 | §3 other models (RDF triples) | [`e10`] |
 //! | E11 | ablation: rewriting minimization | [`e11`] |
 //! | E12 | Reactome pathway domain | [`e12`] |

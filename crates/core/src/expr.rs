@@ -14,6 +14,18 @@
 //! owner-specified policies ([`crate::policy`]); this mirrors the paper's
 //! observation that the semantics is a formal object, "not a means of
 //! computation".
+//!
+//! The structure, as `crates/core/tests/proptests.rs` checks it:
+//! [`CiteExpr::normalize`] is idempotent; `sum` and `prod` are
+//! commutative, associative and idempotent monoids with identities
+//! [`CiteExpr::zero`] and [`CiteExpr::one`]; `alt_r` is associative and
+//! idempotent but keeps rewriting order, so it is not commutative. Under
+//! the paper's union policy both `·` and `+` read as set union of atoms:
+//! the interpretation is a homomorphism onto (atom sets, ∪, ∅), `·`
+//! distributes over `+`, and [`CiteExpr::estimated_size`] is the size of
+//! the interpretation. It is not a semiring: `0` and `1` both read as ∅,
+//! so nothing annihilates (`a·0` reads as `a`), and under `AltPolicy::First`
+//! distributivity fails.
 
 use std::collections::BTreeSet;
 use std::fmt;

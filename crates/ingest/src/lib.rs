@@ -5,7 +5,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`reader`] | incremental [`CsvReader`] / [`reader::RecordScanner`]: typed tuple batches from any [`std::io::BufRead`] source, never holding the dump in memory |
+//! | [`reader`] | incremental [`CsvReader`]: typed tuple batches from any [`std::io::BufRead`] source, never holding the dump in memory; records come from [`citesys_storage::RecordScanner`], the scanner `from_csv` also runs |
 //! | [`jsonl`] | [`JsonlReader`]: the same batch contract over line-delimited JSON (schema line + value objects), parsed by a hermetic in-tree scanner |
 //! | [`manifest`] | the `datasets.lock` registry ([`DatasetManifest`]): `citesys-datasets v1` text codec pinning per-source SHA-256, relation fixity and the commit version range, plus [`manifest::verify_sources`] tamper detection |
 //! | [`audit`] | append-only audit log (`datasets.audit`): who loaded what, when, into which version range |

@@ -1,18 +1,18 @@
 //! Incremental CSV reading: typed tuple batches from a [`BufRead`]
 //! source without materializing the dump.
 //!
-//! The dialect is exactly the one `citesys_storage::from_csv` speaks
-//! (comma-separated, `"`-quoted with `""` escaping, `name:type` header,
-//! embedded newlines inside quotes, CRLF tolerated outside quotes) — the
-//! scanner here is a line-fed state machine instead of a whole-string
-//! pass, and equivalence against `from_csv` is tested property-style.
+//! Records come from [`RecordScanner`], the one CSV scanner
+//! `citesys_storage::from_csv` also runs; here it is fed one `read_line`
+//! at a time instead of a whole document, so the dialect is the same by
+//! construction.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
 use citesys_storage::{
-    parse_csv_header, parse_csv_record, Digest, RelationSchema, Sha256, StorageError, Tuple,
+    parse_csv_header, parse_csv_record, Digest, RecordScanner, RelationSchema, Sha256,
+    StorageError, Tuple,
 };
 
 use crate::error::{io_err, IngestError};
@@ -63,95 +63,6 @@ impl<R: Read> Read for HashCountRead<R> {
         self.hash.update(&buf[..n]);
         self.bytes += n as u64;
         Ok(n)
-    }
-}
-
-/// Line-fed CSV record scanner: the quote/escape state machine from the
-/// whole-string parser, restructured so each call feeds one line and at
-/// most one record completes per line (records end at a newline outside
-/// quotes).
-#[derive(Default)]
-pub struct RecordScanner {
-    cell: String,
-    record: Vec<String>,
-    in_quotes: bool,
-    started: bool,
-}
-
-impl RecordScanner {
-    /// Creates an empty scanner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one line as produced by `read_line` (trailing `\n`
-    /// included when present). Returns a completed record, or `None`
-    /// while a quoted field spans lines. Blank records are skipped by
-    /// the caller via [`RecordScanner::is_blank`].
-    pub fn feed_line(&mut self, line: &str) -> Option<Vec<String>> {
-        let (body, had_newline) = match line.strip_suffix('\n') {
-            Some(b) => (b, true),
-            None => (line, false),
-        };
-        let mut chars = body.chars().peekable();
-        while let Some(c) = chars.next() {
-            self.started = true;
-            match c {
-                '"' if self.in_quotes => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        self.cell.push('"');
-                    } else {
-                        self.in_quotes = false;
-                    }
-                }
-                '"' => self.in_quotes = true,
-                ',' if !self.in_quotes => {
-                    self.record.push(std::mem::take(&mut self.cell));
-                }
-                '\r' if !self.in_quotes => {}
-                other => self.cell.push(other),
-            }
-        }
-        if self.in_quotes {
-            if had_newline {
-                self.cell.push('\n');
-                self.started = true;
-            }
-            return None;
-        }
-        if !self.started {
-            return None;
-        }
-        self.started = false;
-        self.record.push(std::mem::take(&mut self.cell));
-        Some(std::mem::take(&mut self.record))
-    }
-
-    /// True when the scanner holds a partial record (unterminated final
-    /// line or an unclosed quote at EOF).
-    pub fn has_partial(&self) -> bool {
-        self.started || self.in_quotes || !self.record.is_empty() || !self.cell.is_empty()
-    }
-
-    /// Flushes a partial record at EOF (file without trailing newline).
-    pub fn flush(&mut self) -> Option<Vec<String>> {
-        if !self.has_partial() {
-            return None;
-        }
-        self.in_quotes = false;
-        self.started = false;
-        self.record.push(std::mem::take(&mut self.cell));
-        Some(std::mem::take(&mut self.record))
-    }
-
-    /// A record consisting of one empty cell (a blank line).
-    pub fn is_blank(record: &[String]) -> bool {
-        record.len() == 1 && record[0].is_empty()
-    }
-
-    fn buffered_bytes(&self) -> usize {
-        self.cell.len() + self.record.iter().map(String::len).sum::<usize>()
     }
 }
 
@@ -344,6 +255,8 @@ mod tests {
         (schema, out)
     }
 
+    /// Batching at 1, 2 and 1000 records yields what a whole-document
+    /// read through `from_csv` yields.
     #[test]
     fn matches_whole_string_parser() {
         let docs = [

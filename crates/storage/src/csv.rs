@@ -2,8 +2,11 @@
 //! databases actually publish dumps in.
 //!
 //! Dialect: comma-separated, `"`-quoted fields with `""` escaping, one
-//! header row with `name:type` columns. Implemented in-tree (no csv crate
-//! in the allowed dependency set); round-trip safety is property-tested.
+//! header row with `name:type` columns, embedded newlines inside quotes,
+//! CRLF tolerated outside quotes. Implemented in-tree (no csv crate in the
+//! allowed dependency set) as one line-fed scanner, [`RecordScanner`]:
+//! [`from_csv`] feeds it a whole document, the streaming reader in
+//! `citesys-ingest` feeds it one `read_line` at a time.
 
 use citesys_cq::{Value, ValueType};
 
@@ -116,16 +119,25 @@ pub fn from_csv(
     key: &[usize],
     input: &str,
 ) -> Result<(RelationSchema, Vec<Tuple>), StorageError> {
-    let mut lines = split_records(input).into_iter();
-    let header = lines.next().ok_or_else(|| StorageError::UnknownRelation {
-        name: format!("{name}: empty csv"),
-    })?;
+    let mut scanner = RecordScanner::new();
+    let mut lines = input.split_inclusive('\n');
+    let mut records = std::iter::from_fn(move || {
+        lines
+            .find_map(|line| scanner.feed_line(line))
+            .or_else(|| scanner.flush())
+    })
+    .filter(|record| !RecordScanner::is_blank(record));
+    let header = records
+        .next()
+        .ok_or_else(|| StorageError::UnknownRelation {
+            name: format!("{name}: empty csv"),
+        })?;
     let attrs = parse_csv_header(name, &header)?;
     let schema = RelationSchema::new(name, attrs, key.to_vec());
-    let mut tuples = Vec::new();
-    for (idx, record) in lines.enumerate() {
-        tuples.push(parse_csv_record(&schema, &record, idx + 1)?);
-    }
+    let tuples = records
+        .enumerate()
+        .map(|(idx, record)| parse_csv_record(&schema, &record, idx + 1))
+        .collect::<Result<_, _>>()?;
     Ok((schema, tuples))
 }
 
@@ -144,44 +156,93 @@ fn parse_value(cell: &str, attr: &Attribute) -> Result<Value, String> {
     }
 }
 
-/// Splits CSV into records of unquoted cell strings, honouring quotes and
-/// embedded newlines.
-fn split_records(input: &str) -> Vec<Vec<String>> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut cell = String::new();
-    let mut in_quotes = false;
-    let mut chars = input.chars().peekable();
-    let mut any = false;
-    while let Some(c) = chars.next() {
-        any = true;
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cell.push('"');
-                } else {
-                    in_quotes = false;
+/// Line-fed CSV record scanner: a quote/escape state machine that takes
+/// one line per call, so at most one record completes per line (records
+/// end at a newline outside quotes).
+#[derive(Default)]
+pub struct RecordScanner {
+    cell: String,
+    record: Vec<String>,
+    in_quotes: bool,
+    started: bool,
+}
+
+impl RecordScanner {
+    /// Creates an empty scanner.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feeds one line as produced by `read_line` (trailing `\n`
+    /// included when present). Returns a completed record, or `None`
+    /// while a quoted field spans lines. Blank records are skipped by
+    /// the caller via [`RecordScanner::is_blank`].
+    pub fn feed_line(&mut self, line: &str) -> Option<Vec<String>> {
+        let (body, had_newline) = match line.strip_suffix('\n') {
+            Some(b) => (b, true),
+            None => (line, false),
+        };
+        let mut chars = body.chars().peekable();
+        while let Some(c) = chars.next() {
+            self.started = true;
+            match c {
+                '"' if self.in_quotes => {
+                    if chars.peek() == Some(&'"') {
+                        chars.next();
+                        self.cell.push('"');
+                    } else {
+                        self.in_quotes = false;
+                    }
                 }
+                '"' => self.in_quotes = true,
+                ',' if !self.in_quotes => {
+                    self.record.push(std::mem::take(&mut self.cell));
+                }
+                '\r' if !self.in_quotes => {}
+                other => self.cell.push(other),
             }
-            '"' => in_quotes = true,
-            ',' if !in_quotes => {
-                record.push(std::mem::take(&mut cell));
-            }
-            '\n' if !in_quotes => {
-                record.push(std::mem::take(&mut cell));
-                records.push(std::mem::take(&mut record));
-            }
-            '\r' if !in_quotes => {}
-            other => cell.push(other),
         }
+        if self.in_quotes {
+            if had_newline {
+                self.cell.push('\n');
+                self.started = true;
+            }
+            return None;
+        }
+        if !self.started {
+            return None;
+        }
+        self.started = false;
+        self.record.push(std::mem::take(&mut self.cell));
+        Some(std::mem::take(&mut self.record))
     }
-    if any && (!cell.is_empty() || !record.is_empty()) {
-        record.push(cell);
-        records.push(record);
+
+    /// True when the scanner holds a partial record (unterminated final
+    /// line or an unclosed quote at EOF).
+    pub fn has_partial(&self) -> bool {
+        self.started || self.in_quotes || !self.record.is_empty() || !self.cell.is_empty()
     }
-    records.retain(|r| !(r.len() == 1 && r[0].is_empty()));
-    records
+
+    /// Flushes a partial record at EOF (file without trailing newline).
+    pub fn flush(&mut self) -> Option<Vec<String>> {
+        if !self.has_partial() {
+            return None;
+        }
+        self.in_quotes = false;
+        self.started = false;
+        self.record.push(std::mem::take(&mut self.cell));
+        Some(std::mem::take(&mut self.record))
+    }
+
+    /// A record consisting of one empty cell (a blank line).
+    pub fn is_blank(record: &[String]) -> bool {
+        record.len() == 1 && record[0].is_empty()
+    }
+
+    /// Bytes held in the partial record (for memory accounting).
+    pub fn buffered_bytes(&self) -> usize {
+        self.cell.len() + self.record.iter().map(String::len).sum::<usize>()
+    }
 }
 
 /// Loads a CSV document into a database (creating the relation).
@@ -215,6 +276,30 @@ mod tests {
             Some("Dopamine, the 2nd")
         );
         assert_eq!(tuples[1].get(2).unwrap().as_text(), Some("D \"quoted\""));
+
+        // The dialect's corners: CRLF line ends, an embedded newline
+        // beside `""` escapes, a blank line, no trailing newline.
+        let docs = [
+            (
+                "\"FID:int\",\"FName:text\"\n1,\"Calcitonin\"\n2,\"Dopamine, the 2nd\"\n",
+                vec![tuple![1, "Calcitonin"], tuple![2, "Dopamine, the 2nd"]],
+            ),
+            (
+                "\"A:int\",\"B:text\"\r\n1,\"x\"\r\n2,\"embedded\nnewline, and \"\"quotes\"\"\"\r\n",
+                vec![
+                    tuple![1, "x"],
+                    tuple![2, "embedded\nnewline, and \"quotes\""],
+                ],
+            ),
+            ("\"A:int\"\n1\n\n2\n", vec![tuple![1], tuple![2]]),
+            (
+                "\"A:int\",\"B:bool\"\n1,true\n2,false",
+                vec![tuple![1, true], tuple![2, false]],
+            ),
+        ];
+        for (doc, want) in docs {
+            assert_eq!(from_csv("R", &[0], doc).unwrap().1, want, "{doc:?}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod versioned;
 
 pub use csv::{
     csv_header, csv_quote, from_csv, load_csv, parse_csv_header, parse_csv_record,
-    render_csv_value, to_csv,
+    render_csv_value, to_csv, RecordScanner,
 };
 pub use database::{Database, SharedDatabase};
 pub use delta::{Changeset, NetChanges};

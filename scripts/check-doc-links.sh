@@ -111,6 +111,15 @@ if grep -n 'IncrementalEngine\|\be14\b\|\be15\b\|E14\|E15' README.md ARCHITECTUR
     echo "README.md and ARCHITECTURE.md must not advertise IncrementalEngine or E14/E15"; fail=1
 fi
 
+# Content contract for the one citation algebra: the migration guide
+# must map the removed provenance crate to core's CiteExpr, and nothing
+# else may still advertise the crate.
+grep -q 'citesys_provenance.*|.*citesys_core::CiteExpr' MIGRATION.md \
+    || { echo "MIGRATION.md must map the removed citesys_provenance to citesys_core::CiteExpr"; fail=1; }
+if grep -n 'citesys-provenance' README.md ARCHITECTURE.md; then
+    echo "README.md and ARCHITECTURE.md must not advertise citesys-provenance"; fail=1
+fi
+
 # Content contract for the replication subsystem: the architecture doc
 # must have a Replication section covering the readonly rejection and
 # the lag counter, the quickstart must show `serve --follow`, and the

@@ -13,9 +13,8 @@
 //! |-------|----------|
 //! | [`cq`] | conjunctive queries, parser, containment, minimization |
 //! | [`storage`] | relational store, CQ evaluation, versioning, SHA-256 fixity |
-//! | [`provenance`] | semirings, ℕ\[X\] polynomials, K-relations |
 //! | [`rewrite`] | answering queries using views (bucket, MiniCon, plans) |
-//! | [`core`] | citation views, algebra, policies, service, formats |
+//! | [`core`] | citation views, the citation algebra ([`CiteExpr`](core::CiteExpr)) and its policies, service, formats |
 //! | [`gtopdb`] | synthetic GtoPdb / eagle-i generators and workloads |
 //!
 //! ## Quickstart
@@ -56,6 +55,5 @@ pub use citesys_core as core;
 pub use citesys_cq as cq;
 pub use citesys_gtopdb as gtopdb;
 pub use citesys_net as net;
-pub use citesys_provenance as provenance;
 pub use citesys_rewrite as rewrite;
 pub use citesys_storage as storage;
