@@ -1,4 +1,4 @@
-//! `repro` — regenerates every experiment table (E1–E13, E16–E22).
+//! `repro` — regenerates every experiment table (E1–E12).
 //!
 //! Usage:
 //! ```text

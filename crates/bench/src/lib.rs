@@ -19,15 +19,7 @@
 //! | E10 | §3 other models (RDF triples) | [`e10`] |
 //! | E11 | ablation: rewriting minimization | [`e11`] |
 //! | E12 | Reactome pathway domain | [`e12`] |
-//! | E13 | §3 amortized prepared citation | [`e13`] |
-//! | E16 | citation as an always-on network service | [`e16`] |
-//! | E17 | durable, restartable citation store | [`e17`] |
-//! | E18 | replication: read scale-out and bounded lag | [`e18`] |
-//! | E19 | event-driven transport: scale, tails, pipelining | [`e19`] |
-//! | E20 | time travel: @ version latency, compaction savings | [`e20`] |
-//! | E21 | observability overhead on the cite hot path | [`e21`] |
-//! | E22 | streaming bulk ingestion: batch size vs throughput/memory | [`e22`] |
-//!
+//! //! //! //! //! //! //! //! //!
 //! Run `cargo run -p citesys-bench --release --bin repro` to print every
 //! table. Performance numbers live in the repository's `benchmark/`
 //! directory; these tables reproduce the paper's concerns.
@@ -38,15 +30,7 @@ pub mod e1;
 pub mod e10;
 pub mod e11;
 pub mod e12;
-pub mod e13;
-pub mod e16;
-pub mod e17;
-pub mod e18;
-pub mod e19;
 pub mod e2;
-pub mod e20;
-pub mod e21;
-pub mod e22;
 pub mod e3;
 pub mod e4;
 pub mod e5;
@@ -76,14 +60,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("e10", e10::table),
     ("e11", e11::table),
     ("e12", e12::table),
-    ("e13", e13::table),
-    ("e16", e16::table),
-    ("e17", e17::table),
-    ("e18", e18::table),
-    ("e19", e19::table),
-    ("e20", e20::table),
-    ("e21", e21::table),
-    ("e22", e22::table),
 ];
 
 /// Runs every experiment in order, returning the rendered tables.

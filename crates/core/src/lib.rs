@@ -16,8 +16,8 @@
 //!   [`CitationService`] — rewrite → evaluate → annotate → render with a
 //!   formal-semantics mode and a cost-pruned mode (§3), prepared queries,
 //!   a sharded LRU plan cache keyed modulo λ-parameter constants (with
-//!   text persistence), a delta-maintained materialized-view cache
-//!   ([`viewcache`]), and batch citation.
+//!   text persistence), and a delta-maintained materialized-view cache
+//!   ([`viewcache`]).
 //! * **Rendering** ([`mod@format`]): text, BibTeX, RIS, XML, JSON.
 //! * **Fixity** ([`fixity`]): versioned citations with SHA-256 digests,
 //!   dereference and verification.

@@ -14,9 +14,9 @@
 //!   ([`PlanCache::to_text`] / [`PlanCache::load_text`]) and reloaded by
 //!   a later process.
 //! * a **view cache**: citation views are materialized once into a shared
-//!   scratch database ([`ViewCache`]) and reused across queries and
-//!   batches. The cite read path is **lock-free**: materializations live
-//!   behind a published arc-swap snapshot pointer, so readers pay one
+//!   scratch database ([`ViewCache`]) and reused across queries. The
+//!   cite read path is **lock-free**: materializations live behind a
+//!   published arc-swap snapshot pointer, so readers pay one
 //!   atomic load and only writers pay for publication. Data updates —
 //!   whole mixed insert/delete transactions
 //!   ([`stage_batch`](CitationService::stage_batch) with a
@@ -75,7 +75,6 @@ use crate::engine::{
 };
 use crate::error::CiteError;
 use crate::fixity::{cite_with_service, FixityToken};
-use crate::policy::PolicySet;
 use crate::registry::CitationRegistry;
 use crate::viewcache::{PendingViewDelta, ViewCache, ViewCacheStats};
 
@@ -554,8 +553,6 @@ pub struct CitationServiceBuilder {
     db: Option<Arc<Database>>,
     registry: Option<Arc<CitationRegistry>>,
     options: EngineOptions,
-    plan_cache_capacity: usize,
-    plan_cache_shards: usize,
     shared_plans: Option<Arc<PlanCache>>,
     warm_views: Option<Database>,
 }
@@ -586,42 +583,6 @@ impl CitationServiceBuilder {
         self
     }
 
-    /// The owner's combination policies.
-    pub fn policies(mut self, policies: PolicySet) -> Self {
-        self.options.policies = policies;
-        self
-    }
-
-    /// Rewriting-search options.
-    pub fn rewrite_options(mut self, rewrite: citesys_rewrite::RewriteOptions) -> Self {
-        self.options.rewrite = rewrite;
-        self
-    }
-
-    /// Enables the contained-rewriting (partial citation) fallback.
-    pub fn allow_partial(mut self, allow: bool) -> Self {
-        self.options.allow_partial = allow;
-        self
-    }
-
-    /// Capacity of the LRU plan cache (default
-    /// [`DEFAULT_PLAN_CACHE_CAPACITY`]). Ignored when
-    /// [`shared_plan_cache`](Self::shared_plan_cache) is set.
-    pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.plan_cache_capacity = capacity;
-        self
-    }
-
-    /// Number of lock-striped shards in the plan cache (default
-    /// [`DEFAULT_PLAN_CACHE_SHARDS`]; clamped to the capacity). More
-    /// shards reduce write contention between threads missing on
-    /// different query shapes; LRU eviction becomes per-shard. Ignored
-    /// when [`shared_plan_cache`](Self::shared_plan_cache) is set.
-    pub fn plan_cache_shards(mut self, shards: usize) -> Self {
-        self.plan_cache_shards = shards;
-        self
-    }
-
     /// Shares an existing plan cache (so a rebuilt service — e.g. after a
     /// data update — keeps its amortized plans).
     pub fn shared_plan_cache(mut self, plans: Arc<PlanCache>) -> Self {
@@ -648,19 +609,9 @@ impl CitationServiceBuilder {
         let registry = self.registry.ok_or_else(|| CiteError::ServiceConfig {
             reason: "a citation-view registry is required: call .registry(reg)".to_string(),
         })?;
-        let capacity = if self.plan_cache_capacity == 0 {
-            DEFAULT_PLAN_CACHE_CAPACITY
-        } else {
-            self.plan_cache_capacity
-        };
-        let shards = if self.plan_cache_shards == 0 {
-            DEFAULT_PLAN_CACHE_SHARDS
-        } else {
-            self.plan_cache_shards
-        };
         let plans = self
             .shared_plans
-            .unwrap_or_else(|| Arc::new(PlanCache::with_shards(capacity, shards)));
+            .unwrap_or_else(|| Arc::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)));
         let generalize = !registry_has_view_constants(&registry);
         let views = match self.warm_views {
             Some(seed) => ViewCache::with_published(seed),
@@ -1009,21 +960,22 @@ impl CitationService {
         q: &ConjunctiveQuery,
     ) -> Result<(CitedAnswer, FixityToken), CiteError> {
         let snapshot = history.snapshot(version)?;
-        self.cite_at_snapshot(version, &snapshot, options, q)
+        let service = self.as_of_service(version, &snapshot, options)?;
+        cite_with_service(&service, version, q)
     }
 
-    /// [`cite_at_with`](Self::cite_at_with) when the caller already
-    /// holds the snapshot of `version` (e.g. the serving layer extracts
-    /// it under its store lock and evaluates outside it). The caller
-    /// asserts `snapshot` **is** the database as of `version` — the
-    /// fixity token is stamped with the pair as given.
-    pub fn cite_at_snapshot(
+    /// The cached **as-of service** [`cite_at_with`](Self::cite_at_with)
+    /// evaluates on, for a caller that already holds the snapshot of
+    /// `version` (e.g. the serving layer extracts it under its store lock
+    /// and cites outside it). The caller asserts `snapshot` **is** the
+    /// database as of `version`: citing through [`cite_with_service`]
+    /// with `version` stamps the fixity token with the pair as given.
+    pub fn as_of_service(
         &self,
         version: u64,
         snapshot: &Arc<Database>,
         options: EngineOptions,
-        q: &ConjunctiveQuery,
-    ) -> Result<(CitedAnswer, FixityToken), CiteError> {
+    ) -> Result<CitationService, CiteError> {
         let same_rewrite = {
             let a = &self.options.rewrite;
             let b = &options.rewrite;
@@ -1040,10 +992,8 @@ impl CitationService {
                     .to_string(),
             });
         }
-        let service = self
-            .asof
-            .service_for(version, snapshot, &self.registry, options)?;
-        cite_with_service(&service, version, q)
+        self.asof
+            .service_for(version, snapshot, &self.registry, options)
     }
 
     /// The shared time-travel cache (diagnostics: which historical
@@ -1220,13 +1170,6 @@ impl CitationService {
             shard,
         })
     }
-
-    /// Cites every query in `queries`, sharing the plan cache and the
-    /// materialized views across the whole batch. Per-query failures do
-    /// not abort the batch.
-    pub fn cite_batch(&self, queries: &[ConjunctiveQuery]) -> Vec<Result<CitedAnswer, CiteError>> {
-        queries.iter().map(|q| self.cite(q)).collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1275,7 +1218,7 @@ impl PreparedCitation {
 mod tests {
     use super::*;
     use crate::paper;
-    use crate::policy::RewritePolicy;
+    use crate::policy::{PolicySet, RewritePolicy};
     use citesys_cq::parse_query;
 
     // Compile-time assertions: the service types are thread-safe and the
@@ -1313,12 +1256,14 @@ mod tests {
         let svc = CitationService::builder()
             .database(std::sync::Arc::clone(&db))
             .registry(paper::paper_registry())
-            .policies(PolicySet {
-                rewritings: RewritePolicy::Union,
+            .options(EngineOptions {
+                policies: PolicySet {
+                    rewritings: RewritePolicy::Union,
+                    ..Default::default()
+                },
+                allow_partial: true,
                 ..Default::default()
             })
-            .allow_partial(true)
-            .plan_cache_capacity(8)
             .build()
             .unwrap();
         assert!(svc.options().allow_partial);
@@ -1443,39 +1388,18 @@ mod tests {
     }
 
     #[test]
-    fn cite_batch_reuses_plans_and_views() {
+    fn repeated_cites_reuse_plans_and_views() {
         let svc = service(CitationMode::Formal);
-        let queries: Vec<ConjunctiveQuery> = [11, 12, 11, 13]
-            .iter()
-            .map(|fid| {
-                parse_query(&format!(
-                    "Q(N) :- Family({fid}, N, D), FamilyIntro({fid}, T)"
-                ))
-                .unwrap()
-            })
-            .collect();
-        let results = svc.cite_batch(&queries);
-        assert_eq!(results.len(), 4);
-        for r in &results {
-            assert!(r.is_ok());
+        for fid in [11, 12, 11, 13] {
+            let q = parse_query(&format!(
+                "Q(N) :- Family({fid}, N, D), FamilyIntro({fid}, T)"
+            ))
+            .unwrap();
+            assert!(svc.cite(&q).is_ok());
         }
         let stats = svc.plan_cache_stats();
-        assert_eq!(stats.misses, 1, "one search for the whole batch");
+        assert_eq!(stats.misses, 1, "one search for all four cites");
         assert_eq!(stats.hits, 3);
-    }
-
-    #[test]
-    fn batch_failures_do_not_abort() {
-        let svc = service(CitationMode::Formal);
-        let qs = vec![
-            paper::paper_query(),
-            parse_query("Q(P) :- Committee(F, P)").unwrap(),
-            paper::paper_query(),
-        ];
-        let results = svc.cite_batch(&qs);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl GroupCommitter {
     /// Spawns the committer over `shared`. `window` is how long the
     /// thread waits for more racing commits after the first one arrives
     /// — `Duration::ZERO` degrades to per-transaction commits (each
-    /// request usually gets its own window), which is the E16 baseline.
+    /// request usually gets its own window).
     pub fn spawn(shared: Arc<Mutex<SharedStore>>, window: Duration) -> GroupCommitter {
         let (tx, rx) = mpsc::channel::<Msg>();
         let thread = std::thread::Builder::new()

@@ -57,8 +57,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use citesys_core::{
-    cite_with_service, cite_with_service_spanned, format_citation, verify, AsOf, CitationService,
-    CitationView, Coverage, DurableHandle, EngineOptions, FixityToken, Store, StoreError,
+    cite_with_service_spanned, format_citation, verify, AsOf, CitationService, CitationView,
+    Coverage, DurableHandle, EngineOptions, FixityToken, Store, StoreError,
 };
 use citesys_ingest::{
     append_audit, verify_sources, AuditRecord, CsvReader, DatasetEntry, DatasetManifest,
@@ -816,21 +816,48 @@ impl Interpreter {
                 "uncommitted changes: run 'commit' before 'cite'"
             }));
         }
-        if let Some(version) = spec.as_of {
-            return self.cmd_cite_at(version, spec);
-        }
-        let (service, version, slow_ms) = {
-            let mut sh = self.shared.lock();
-            let version = sh.store.committed_version().map_err(store_err)?;
-            let service = sh.service_at(version, spec.options)?;
-            (service, version, sh.slow_cite_ms)
-        };
+        let mut sh = self.shared.lock();
+        let slow_ms = sh.slow_cite_ms;
         // Spans are collected when histogram timings are on OR the
         // slow-cite log is armed; with both off the tracing cost is a
         // branch per stage (no clock reads).
         let timed = self.obs.timings_enabled() || slow_ms.is_some();
-        let mut spans = SpanSet::new(timed);
         let total = SpanTimer::start(timed);
+        let latest = sh.store.committed_version().map_err(store_err)?;
+        // The service that answers: the live one; for `@ <version>`
+        // still in the in-memory op log, the live service's as-of cache
+        // (kept apart from the warm live caches); for a version compacted
+        // from memory but covered by a retained durable anchor, a cold
+        // service rebuilt from the anchor checkpoint plus its WAL
+        // segment, under the registry that governed that version.
+        let (service, version, as_of_snapshot) = match spec.as_of {
+            None => (sh.service_at(latest, spec.options)?, latest, None),
+            Some(version) => match sh.store.as_of(version).map_err(store_err)? {
+                AsOf::Memory(snapshot) => (
+                    sh.service_at(latest, spec.options)?,
+                    version,
+                    Some(snapshot),
+                ),
+                AsOf::Anchor(snapshot, registry) => {
+                    let service = CitationService::builder()
+                        .database(snapshot)
+                        .registry(registry)
+                        .options(spec.options)
+                        .build()
+                        .map_err(|e| cite_err(e.to_string()))?;
+                    (service, version, None)
+                }
+                AsOf::Compacted { oldest } => return Err(compacted(version, oldest)),
+            },
+        };
+        drop(sh);
+        let service = match as_of_snapshot {
+            Some(snapshot) => service
+                .as_of_service(version, &snapshot, spec.options)
+                .map_err(|e| cite_err(e.to_string()))?,
+            None => service,
+        };
+        let mut spans = SpanSet::new(timed);
         // The expensive part — rewriting search (on a plan-cache miss),
         // evaluation and annotation — runs on the service clone OUTSIDE
         // the store lock, so concurrent sessions cite in parallel.
@@ -853,48 +880,10 @@ impl Interpreter {
         Ok(())
     }
 
-    /// `cite … @ <version>`: the time-travel read path. Versions still
-    /// in the in-memory op log evaluate on the live service's as-of
-    /// cache (kept apart from the warm live caches); versions compacted
-    /// from memory but covered by a retained durable anchor are rebuilt
-    /// cold from the anchor checkpoint plus its WAL segment, under the
-    /// registry that governed that version.
-    fn cmd_cite_at(&mut self, version: u64, spec: &CiteSpec) -> Result<(), CmdError> {
-        let (service, snapshot) = {
-            let mut sh = self.shared.lock();
-            let latest = sh.store.committed_version().map_err(store_err)?;
-            match sh.store.as_of(version).map_err(store_err)? {
-                AsOf::Memory(snapshot) => (sh.service_at(latest, spec.options)?, Some(snapshot)),
-                // A cold service under the registry that governed it.
-                AsOf::Anchor(snapshot, registry) => {
-                    let service = CitationService::builder()
-                        .database(snapshot)
-                        .registry(registry)
-                        .options(spec.options)
-                        .build()
-                        .map_err(|e| cite_err(e.to_string()))?;
-                    (service, None)
-                }
-                AsOf::Compacted { oldest } => return Err(compacted(version, oldest)),
-            }
-        };
-        // Evaluation runs OUTSIDE the store lock, like a live cite.
-        let (cited, token) = match snapshot {
-            Some(snapshot) => {
-                service.cite_at_snapshot(version, &snapshot, spec.options, &spec.query)
-            }
-            None => cite_with_service(&service, version, &spec.query),
-        }
-        .map_err(|e| cite_err(e.to_string()))?;
-        self.report_citation(cited, token, spec.format);
-        Ok(())
-    }
-
-    /// Shared output tail of `cite` and `cite … @ <version>`: the answer
-    /// count, coverage, the formatted citation with its fixity token,
-    /// an armed trace, and the token for `verify`. Identical wording on
-    /// both paths — a time-travel cite is byte-identical to what the
-    /// live cite printed at that version.
+    /// Output of `cite` (live or `@ <version>`): the answer count,
+    /// coverage, the formatted citation with its fixity token, an armed
+    /// trace, and the token for `verify`. A time-travel cite is
+    /// byte-identical to what the live cite printed at that version.
     fn report_citation(
         &mut self,
         cited: citesys_core::CitedAnswer,

@@ -4,15 +4,18 @@
 //! counters — on both transports — and the exposition itself must be
 //! structurally valid (metadata before samples, cumulative buckets).
 //! The transports must also agree on *why* connections die: oversized
-//! lines and idle reaps land in the same disconnect counters.
+//! lines and idle reaps land in the same disconnect counters. And a
+//! time-travel `cite … @ <version>` is observed exactly like a live one.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use citesys_core::AsOf;
 use citesys_net::client::Connection;
 use citesys_net::protocol::{Response, MAX_LINE_BYTES};
+use citesys_net::script::{Interpreter, SharedStore};
 use citesys_net::server::{Server, ServerConfig};
 
 /// A transport variant with the metrics endpoint (and therefore
@@ -300,4 +303,93 @@ fn disconnect_reasons_counted_on_both_transports() {
         );
         server.stop();
     }
+}
+
+const ASOF_SETUP: &str = "\
+schema Family(FID:int, FName:text, Desc:text) key(0)
+schema FamilyIntro(FID:int, Text:text) key(0)
+insert Family(11, 'Calcitonin', 'C1')
+insert FamilyIntro(11, '1st')
+view V2(FID, FName, Desc) :- Family(FID, FName, Desc) | cite CV2(D) :- D = 'GtoPdb'
+view V3(FID, Text) :- FamilyIntro(FID, Text) | cite CV3(D) :- D = 'GtoPdb'
+commit
+";
+
+const ASOF_CITE: &str = "cite Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)";
+
+/// Commits one new family as the next version.
+fn commit_family(interp: &mut Interpreter, fid: u64) {
+    interp
+        .run(&format!(
+            "insert Family({fid}, 'F{fid}', 'D')\ninsert FamilyIntro({fid}, 'I{fid}')\ncommit\n"
+        ))
+        .expect("commit");
+}
+
+/// Live, in-memory `@ v` and anchor `@ v` cites all reach the cite
+/// histogram and the slow-cite log. With timings off and the log
+/// disarmed, none of them is timed (the gate really gates).
+#[test]
+fn time_travel_cites_are_observed_like_live_cites() {
+    let dir = std::env::temp_dir()
+        .join("citesys-obs-test")
+        .join(format!("asof-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        // Versions 1..=4, each checkpointed: the superseded checkpoints
+        // stay behind as anchors.
+        let shared = SharedStore::open_durable_shared_with_retention(&dir, usize::MAX).unwrap();
+        shared.lock().store_mut().set_checkpoint_every(Some(1));
+        let mut interp = Interpreter::with_store(shared);
+        interp.run(ASOF_SETUP).expect("setup");
+        for fid in 20..23 {
+            commit_family(&mut interp, fid);
+        }
+    }
+    for timings in [false, true] {
+        // After a restart the op log starts at the recovered checkpoint:
+        // version 1 is reachable only through an anchor, while the
+        // version committed below stays in memory.
+        let shared = SharedStore::open_durable_shared_with_retention(&dir, usize::MAX).unwrap();
+        shared.lock().obs().set_timings_enabled(timings);
+        if timings {
+            shared.lock().set_slow_cite_ms(Some(0));
+        }
+        let mut interp = Interpreter::with_store(shared);
+        commit_family(&mut interp, 30 + u64::from(timings));
+        let latest = interp.shared().lock().store().latest_version();
+        let in_memory = latest - 1;
+        {
+            let mut sh = interp.shared().lock();
+            let store = sh.store_mut();
+            assert!(matches!(store.as_of(in_memory), Ok(AsOf::Memory(_))));
+            assert!(matches!(store.as_of(1), Ok(AsOf::Anchor(..))));
+        }
+        let cites = [
+            (ASOF_CITE.to_string(), latest),
+            (format!("{ASOF_CITE} @ {in_memory}"), in_memory),
+            (format!("{ASOF_CITE} @ 1"), 1),
+        ];
+        for (line, version) in &cites {
+            let out = interp.run_line(line).expect("cite");
+            assert!(out.contains(&format!("at version {version}")), "{out}");
+        }
+        let text = interp.shared().lock().render_metrics();
+        let (expect_timed, expect_slow) = if timings {
+            (cites.len() as f64, cites.len() as f64)
+        } else {
+            (0.0, 0.0)
+        };
+        assert_eq!(
+            sample(&text, "citesys_cite_seconds_count"),
+            expect_timed,
+            "timings={timings}"
+        );
+        assert_eq!(
+            sample(&text, "citesys_slow_cites_total"),
+            expect_slow,
+            "timings={timings}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

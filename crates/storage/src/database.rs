@@ -9,11 +9,6 @@ use crate::relation::Relation;
 use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
 
-/// A cheaply clonable, thread-safe handle to an immutable database
-/// snapshot — what the owned citation service and version snapshots hand
-/// around.
-pub type SharedDatabase = std::sync::Arc<Database>;
-
 /// An in-memory relational database.
 ///
 /// A `BTreeMap` catalog keeps relation iteration deterministic, which keeps
@@ -94,15 +89,6 @@ impl Database {
                 name: rel.to_string(),
             })?
             .delete(t))
-    }
-
-    /// Wraps the database in an [`Arc`](std::sync::Arc) — the
-    /// [`SharedDatabase`] handle an owned citation service holds.
-    /// Snapshots from [`VersionedDatabase`](crate::VersionedDatabase) are
-    /// already shared; this is the equivalent entry point for databases
-    /// built directly.
-    pub fn into_shared(self) -> SharedDatabase {
-        std::sync::Arc::new(self)
     }
 
     /// Iterates over `(name, relation)` pairs in name order.

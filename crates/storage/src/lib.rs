@@ -52,7 +52,7 @@ pub use csv::{
     csv_header, csv_quote, from_csv, load_csv, parse_csv_header, parse_csv_record,
     render_csv_value, to_csv, RecordScanner,
 };
-pub use database::{Database, SharedDatabase};
+pub use database::Database;
 pub use delta::{Changeset, NetChanges};
 pub use durability::{
     manifest_version, CheckpointData, DurabilityError, DurableStore, FailingAppends, FileStore,

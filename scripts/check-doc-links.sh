@@ -111,6 +111,17 @@ if grep -n 'IncrementalEngine\|\be14\b\|\be15\b\|E14\|E15' README.md ARCHITECTUR
     echo "README.md and ARCHITECTURE.md must not advertise IncrementalEngine or E14/E15"; fail=1
 fi
 
+# Content contract for the one measuring system: the migration guide
+# must say what measures each deleted system-perf arm (E13, E16–E22)
+# now, or that nothing does yet; nothing else may still advertise them.
+for arm in E13 E16 E17 E18 E19 E20 E21 E22; do
+    grep -q "^| $arm (.*|" MIGRATION.md \
+        || { echo "MIGRATION.md must map the removed $arm"; fail=1; }
+done
+if grep -n '\be1[3-9]\b\|\be2[0-2]\b\|E1[3-9]\b\|E2[0-2]\b' README.md ARCHITECTURE.md; then
+    echo "README.md and ARCHITECTURE.md must not advertise E13 or E16–E22"; fail=1
+fi
+
 # Content contract for the one citation algebra: the migration guide
 # must map the removed provenance crate to core's CiteExpr, and nothing
 # else may still advertise the crate.

@@ -6,7 +6,7 @@
 # that a one-byte tamper of a source file fails `dataset verify` with
 # the dedicated exit code 6, and that the loaded relations are citable
 # (including after a restart, recovered from WAL/checkpoint). CI runs
-# this as the dedicated ingest-smoke job.
+# this as a step of the check job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -5,7 +5,7 @@
 # burst coalesced into one group window), check raw `@tag` framing over
 # /dev/tcp, attach a `serve --follow` replica through the event
 # transport's feed handoff, then shut the primary down over the wire.
-# CI runs this as the dedicated pipeline-smoke job; it needs only
+# CI runs this as a step of the check job; it needs only
 # loopback networking.
 set -euo pipefail
 cd "$(dirname "$0")/.."

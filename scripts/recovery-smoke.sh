@@ -4,8 +4,8 @@
 # after the commit is acked (before any further checkpoint), then
 # assert that `citesys recover` and a restarted server replay the
 # write-ahead log to the acked version with warm views and plans. Also
-# checks that a torn final WAL record truncates cleanly. CI runs this
-# as the dedicated recovery-smoke job (and net-smoke.sh chains into it).
+# checks that a torn final WAL record truncates cleanly. CI runs it
+# through net-smoke.sh, which chains into it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -7,7 +7,7 @@
 # commit on the primary while it is down, restart the follower from the
 # same data dir, and assert it resumes from its local WAL — the primary
 # ships exactly the one missed record, not a fresh checkpoint. CI runs
-# this as the dedicated replication-smoke job.
+# this as a step of the check job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -9,7 +9,7 @@
 # over the wire and assert in-window versions keep serving while
 # pre-window versions fail with the distinct compacted-history error
 # (exit 4 on the wire, exit 5 from `wal dump --since`). CI runs this as
-# the dedicated timetravel-smoke job.
+# a step of the check job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

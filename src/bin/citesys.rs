@@ -27,7 +27,7 @@
 use std::io::{BufRead, Read, Write};
 use std::time::Duration;
 
-use citesys::net::client::{run_script, run_script_pipelined};
+use citesys::net::client::{run_script, run_script_pipelined, EXIT_CITE, EXIT_PARSE};
 use citesys::net::script::{
     Interpreter, ScriptError, ScriptErrorKind, SessionControl, SharedStore,
 };
@@ -35,19 +35,62 @@ use citesys::net::server::{Server, ServerConfig};
 use citesys_core::CitationService;
 use citesys_storage::Wal;
 
-const EXIT_IO: i32 = 1;
-const EXIT_USAGE: i32 = 2;
-const EXIT_PARSE: i32 = 3;
-const EXIT_CITE: i32 = 4;
-/// The requested versions were compacted into a checkpoint and are no
-/// longer individually reconstructable (distinct from a plain I/O error
-/// so scripts can tell "gone by policy" from "broken").
-const EXIT_COMPACTED: i32 = 5;
-/// Dataset verification failed: a pinned source file is missing or was
-/// modified, or the store's fixity digest drifted from the manifest.
-/// Distinct from a citation error so pipelines can alert on tamper
-/// specifically.
-const EXIT_TAMPER: i32 = 6;
+/// Why a subcommand failed: one variant per non-zero exit code, each
+/// carrying the message `main` prints to stderr.
+enum AppError {
+    /// An I/O error (unreadable file, unbindable address, broken data dir).
+    Io(String),
+    /// A malformed command line.
+    Usage(String),
+    /// A script parse error.
+    Parse(String),
+    /// A citation or runtime error (including a write on a read-only
+    /// replica).
+    Cite(String),
+    /// The requested versions were compacted into a checkpoint and are no
+    /// longer individually reconstructable (distinct from a plain I/O
+    /// error so scripts can tell "gone by policy" from "broken").
+    Compacted(String),
+    /// Dataset verification failed: a pinned source file is missing or
+    /// was modified, or the store's fixity digest drifted from the
+    /// manifest. Distinct from a citation error so pipelines can alert on
+    /// tamper specifically.
+    Tamper(String),
+}
+
+impl AppError {
+    /// The process exit code — the one table behind `--help`'s list.
+    fn code(&self) -> i32 {
+        match self {
+            AppError::Io(_) => 1,
+            AppError::Usage(_) => 2,
+            AppError::Parse(_) => 3,
+            AppError::Cite(_) => 4,
+            AppError::Compacted(_) => 5,
+            AppError::Tamper(_) => 6,
+        }
+    }
+
+    fn message(&self) -> &str {
+        match self {
+            AppError::Io(m)
+            | AppError::Usage(m)
+            | AppError::Parse(m)
+            | AppError::Cite(m)
+            | AppError::Compacted(m)
+            | AppError::Tamper(m) => m,
+        }
+    }
+
+    /// A script error reported as `message`: parse errors exit 3, every
+    /// other kind exits 4.
+    fn script(e: &ScriptError, message: String) -> Self {
+        match e.kind {
+            ScriptErrorKind::Parse => AppError::Parse(message),
+            ScriptErrorKind::Citation | ScriptErrorKind::Readonly => AppError::Cite(message),
+        }
+    }
+}
 
 fn usage() -> String {
     "usage: citesys <script-file | - | serve | client | ingest | dataset | checkpoint | recover | compact | wal>\n\n\
@@ -153,13 +196,6 @@ fn usage() -> String {
      exit codes: 0 ok, 1 i/o error, 2 usage, 3 script parse error, 4 citation error,\n\
      5 requested history was compacted away, 6 dataset verification failed"
         .to_string()
-}
-
-fn exit_code_for(e: &ScriptError) -> i32 {
-    match e.kind {
-        ScriptErrorKind::Parse => EXIT_PARSE,
-        ScriptErrorKind::Citation | ScriptErrorKind::Readonly => EXIT_CITE,
-    }
 }
 
 /// Options accepted by `citesys serve`.
@@ -317,7 +353,7 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, String> {
 
 /// `serve --listen`: the TCP front end. Blocks until a client issues
 /// `shutdown`.
-fn serve_tcp(opts: &ServeOpts) -> i32 {
+fn serve_tcp(opts: &ServeOpts) -> Result<(), AppError> {
     let mut config = ServerConfig {
         addr: opts.listen.clone().expect("caller checked"),
         data_dir: opts.data_dir.clone().map(Into::into),
@@ -344,13 +380,8 @@ fn serve_tcp(opts: &ServeOpts) -> i32 {
     config.metrics = opts.metrics.clone();
     config.slow_cite_ms = opts.slow_cite_ms;
     let max_connections = config.max_connections;
-    let server = match Server::spawn(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error starting server: {e}");
-            return EXIT_IO;
-        }
-    };
+    let server =
+        Server::spawn(config).map_err(|e| AppError::Io(format!("error starting server: {e}")))?;
     if let Some(primary) = &opts.follow {
         // Parsed by scripts/CI to confirm follower mode engaged.
         println!("following {primary}");
@@ -368,7 +399,7 @@ fn serve_tcp(opts: &ServeOpts) -> i32 {
     let _ = std::io::stdout().flush();
     server.wait();
     eprintln!("server stopped");
-    0
+    Ok(())
 }
 
 /// The interactive stdin loop: executes each line as it arrives against
@@ -376,7 +407,7 @@ fn serve_tcp(opts: &ServeOpts) -> i32 {
 /// reported but do not end the session. With `--data-dir` the store is
 /// durable: an interrupted session (SIGINT, killed terminal) restarts
 /// with its data, views and plans warm.
-fn serve_stdin(opts: &ServeOpts) -> i32 {
+fn serve_stdin(opts: &ServeOpts) -> Result<(), AppError> {
     let data_dir = opts.data_dir.as_deref();
     let stdin = std::io::stdin();
     let interactive = std::env::var_os("CITESYS_SERVE_SILENT").is_none();
@@ -399,10 +430,7 @@ fn serve_stdin(opts: &ServeOpts) -> i32 {
                 }
                 Interpreter::with_store(shared)
             }
-            Err(e) => {
-                eprintln!("error opening data dir {dir}: {e}");
-                return EXIT_IO;
-            }
+            Err(e) => return Err(AppError::Io(format!("error opening data dir {dir}: {e}"))),
         },
         None => Interpreter::new(),
     };
@@ -424,8 +452,9 @@ fn serve_stdin(opts: &ServeOpts) -> i32 {
                     Some(handle)
                 }
                 Err(e) => {
-                    eprintln!("error starting metrics endpoint on {addr}: {e}");
-                    return EXIT_IO;
+                    return Err(AppError::Io(format!(
+                        "error starting metrics endpoint on {addr}: {e}"
+                    )))
                 }
             }
         }
@@ -435,13 +464,7 @@ fn serve_stdin(opts: &ServeOpts) -> i32 {
         eprintln!("citesys serve — one command per line, Ctrl-D to exit");
     }
     for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("error reading stdin: {e}");
-                return EXIT_IO;
-            }
-        };
+        let line = line.map_err(|e| AppError::Io(format!("error reading stdin: {e}")))?;
         match interp.run_session_line(&line) {
             Ok(reply) => {
                 print!("{}", reply.output);
@@ -457,91 +480,80 @@ fn serve_stdin(opts: &ServeOpts) -> i32 {
     if let Some(handle) = metrics_thread {
         let _ = handle.join();
     }
-    0
+    Ok(())
 }
 
 /// `client [--pipeline] <addr> [script-file]`.
-fn client(args: &[String]) -> i32 {
+fn client(args: &[String]) -> Result<(), AppError> {
+    const CLIENT_USAGE: &str = "usage: citesys client [--pipeline] <addr> [script-file]";
     let (pipeline, args) = match args.first().map(String::as_str) {
         Some("--pipeline") => (true, &args[1..]),
         _ => (false, args),
     };
     let Some(addr) = args.first() else {
-        eprintln!("usage: citesys client [--pipeline] <addr> [script-file]");
-        return EXIT_USAGE;
+        return Err(AppError::Usage(CLIENT_USAGE.into()));
     };
     if args.len() > 2 {
-        eprintln!("usage: citesys client [--pipeline] <addr> [script-file]");
-        return EXIT_USAGE;
+        return Err(AppError::Usage(CLIENT_USAGE.into()));
     }
     let script = match args.get(1) {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error reading {path}: {e}");
-                return EXIT_IO;
-            }
-        },
+        Some(path) => std::fs::read_to_string(path)
+            .map_err(|e| AppError::Io(format!("error reading {path}: {e}")))?,
         None => {
             let mut buf = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-                eprintln!("error reading stdin: {e}");
-                return EXIT_IO;
-            }
+            std::io::stdin()
+                .read_to_string(&mut buf)
+                .map_err(|e| AppError::Io(format!("error reading stdin: {e}")))?;
             buf
         }
     };
     let mut out = std::io::stdout();
-    let mut err = std::io::stderr();
-    if pipeline {
+    // The runners stop at the first error and write it here.
+    let mut err = Vec::new();
+    let code = if pipeline {
         run_script_pipelined(addr, &script, &mut out, &mut err)
     } else {
         run_script(addr, &script, &mut out, &mut err)
+    };
+    let message = String::from_utf8_lossy(&err).trim_end().to_string();
+    match code {
+        0 => Ok(()),
+        EXIT_PARSE => Err(AppError::Parse(message)),
+        EXIT_CITE => Err(AppError::Cite(message)),
+        _ => Err(AppError::Io(message)),
     }
 }
 
 /// `checkpoint <data-dir>`: recover and fold the WAL into a fresh
 /// checkpoint.
-fn checkpoint_cmd(args: &[String]) -> i32 {
+fn checkpoint_cmd(args: &[String]) -> Result<(), AppError> {
     let [dir] = args else {
-        eprintln!("usage: citesys checkpoint <data-dir>");
-        return EXIT_USAGE;
+        return Err(AppError::Usage(
+            "usage: citesys checkpoint <data-dir>".into(),
+        ));
     };
-    match CitationService::open(dir) {
-        Ok((mut handle, Some(recovered))) => {
+    let io = |e: String| AppError::Io(format!("{dir}: {e}"));
+    match CitationService::open(dir).map_err(|e| io(e.to_string()))? {
+        (mut handle, Some(recovered)) => {
             let replayed = recovered.replayed;
-            match recovered.service.checkpoint(&recovered.store, &mut handle) {
-                Ok(version) => {
-                    println!(
-                        "{dir}: checkpoint at version {version} ({replayed} wal record(s) folded)"
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("{dir}: {e}");
-                    EXIT_IO
-                }
-            }
+            let version = recovered
+                .service
+                .checkpoint(&recovered.store, &mut handle)
+                .map_err(|e| io(e.to_string()))?;
+            println!("{dir}: checkpoint at version {version} ({replayed} wal record(s) folded)");
         }
-        Ok((_, None)) => {
-            println!("{dir}: empty data dir, nothing to checkpoint");
-            0
-        }
-        Err(e) => {
-            eprintln!("{dir}: {e}");
-            EXIT_IO
-        }
+        (_, None) => println!("{dir}: empty data dir, nothing to checkpoint"),
     }
+    Ok(())
 }
 
 /// `recover <data-dir>`: recover and report, without serving.
-fn recover_cmd(args: &[String]) -> i32 {
+fn recover_cmd(args: &[String]) -> Result<(), AppError> {
     let [dir] = args else {
-        eprintln!("usage: citesys recover <data-dir>");
-        return EXIT_USAGE;
+        return Err(AppError::Usage("usage: citesys recover <data-dir>".into()));
     };
-    match CitationService::open(dir) {
-        Ok((_, Some(recovered))) => {
+    match CitationService::open(dir).map_err(|e| AppError::Io(format!("{dir}: {e}")))? {
+        (_, Some(recovered)) => {
             println!(
                 "{dir}: recovered to version {}",
                 recovered.store.latest_version()
@@ -572,22 +584,15 @@ fn recover_cmd(args: &[String]) -> i32 {
                     .relation_names()
                     .len()
             );
-            0
         }
-        Ok((_, None)) => {
-            println!("{dir}: empty data dir, nothing to recover");
-            0
-        }
-        Err(e) => {
-            eprintln!("{dir}: {e}");
-            EXIT_IO
-        }
+        (_, None) => println!("{dir}: empty data dir, nothing to recover"),
     }
+    Ok(())
 }
 
 /// `wal <dump|compact> <data-dir> …`: inspect or trim the write-ahead
 /// log.
-fn wal_cmd(args: &[String]) -> i32 {
+fn wal_cmd(args: &[String]) -> Result<(), AppError> {
     const WAL_USAGE: &str = "usage: citesys wal dump <data-dir> [--since <version>]\n       \
          citesys wal compact <data-dir> [--keep <versions>]";
     match args.first().map(String::as_str) {
@@ -595,10 +600,7 @@ fn wal_cmd(args: &[String]) -> i32 {
         // `wal compact` is the discoverable spelling; the work — fold
         // the WAL, prune anchors — is exactly `citesys compact`.
         Some("compact") => compact_cmd(&args[1..]),
-        _ => {
-            eprintln!("{WAL_USAGE}");
-            EXIT_USAGE
-        }
+        _ => Err(AppError::Usage(WAL_USAGE.into())),
     }
 }
 
@@ -623,25 +625,17 @@ fn oldest_retained_version(dir: &std::path::Path, checkpoint: u64) -> u64 {
 
 /// `wal dump <data-dir> [--since <version>]`: print the write-ahead log
 /// as changeset text, optionally only the records after a version.
-fn wal_dump(args: &[String]) -> i32 {
+fn wal_dump(args: &[String]) -> Result<(), AppError> {
     const DUMP_USAGE: &str = "usage: citesys wal dump <data-dir> [--since <version>]";
     let Some(dir) = args.first() else {
-        eprintln!("{DUMP_USAGE}");
-        return EXIT_USAGE;
+        return Err(AppError::Usage(DUMP_USAGE.into()));
     };
     let since = match &args[1..] {
         [] => None,
-        [flag, v] if flag == "--since" => match v.parse::<u64>() {
-            Ok(v) => Some(v),
-            Err(_) => {
-                eprintln!("--since needs a version number\n{DUMP_USAGE}");
-                return EXIT_USAGE;
-            }
-        },
-        _ => {
-            eprintln!("{DUMP_USAGE}");
-            return EXIT_USAGE;
-        }
+        [flag, v] if flag == "--since" => Some(v.parse::<u64>().map_err(|_| {
+            AppError::Usage(format!("--since needs a version number\n{DUMP_USAGE}"))
+        })?),
+        _ => return Err(AppError::Usage(DUMP_USAGE.into())),
     };
     let dir = std::path::Path::new(dir);
     // An explicit --since below the last checkpoint asks for records
@@ -651,101 +645,72 @@ fn wal_dump(args: &[String]) -> i32 {
         match citesys_storage::manifest_version(dir) {
             Ok(Some(checkpoint)) if since < checkpoint => {
                 let oldest = oldest_retained_version(dir, checkpoint);
-                eprintln!(
+                return Err(AppError::Compacted(format!(
                     "{}: wal records at or below version {checkpoint} were compacted \
                      into a checkpoint; the oldest retained version is {oldest} \
                      (use 'cite … @ <version>' from {oldest} on, or raise --since to \
                      at least {checkpoint})",
                     dir.display()
-                );
-                return EXIT_COMPACTED;
+                )));
             }
             Ok(_) => {}
-            Err(e) => {
-                eprintln!("{}: {e}", dir.display());
-                return EXIT_IO;
-            }
+            Err(e) => return Err(AppError::Io(format!("{}: {e}", dir.display()))),
         }
     }
     let path = dir.join(citesys_storage::durability::WAL_FILE);
     // Read-only: a dump must never create or truncate the log — the
     // server owning this directory may be appending to it right now.
-    match Wal::read_from(&path, since.unwrap_or(0)) {
-        Ok((records, truncated)) => {
-            if truncated {
-                eprintln!("note: final record is torn (left in place; recovery will truncate it)");
-            }
-            if records.is_empty() {
-                println!("{}: no wal records", path.display());
-            }
-            for r in &records {
-                println!("# version {} ({} op(s))", r.version, r.changes.len());
-                print!("{}", r.changes.to_text());
-            }
-            0
-        }
-        Err(e) => {
-            eprintln!("{}: {e}", path.display());
-            EXIT_IO
-        }
+    let (records, truncated) = Wal::read_from(&path, since.unwrap_or(0))
+        .map_err(|e| AppError::Io(format!("{}: {e}", path.display())))?;
+    if truncated {
+        eprintln!("note: final record is torn (left in place; recovery will truncate it)");
     }
+    if records.is_empty() {
+        println!("{}: no wal records", path.display());
+    }
+    for r in &records {
+        println!("# version {} ({} op(s))", r.version, r.changes.len());
+        print!("{}", r.changes.to_text());
+    }
+    Ok(())
 }
 
 /// `compact <data-dir> [--keep <versions>]`: offline history trim —
 /// fold the WAL into a fresh checkpoint, then prune time-travel anchors
 /// below the newest `--keep` versions.
-fn compact_cmd(args: &[String]) -> i32 {
+fn compact_cmd(args: &[String]) -> Result<(), AppError> {
     const COMPACT_USAGE: &str = "usage: citesys compact <data-dir> [--keep <versions>]";
     let Some(dir) = args.first() else {
-        eprintln!("{COMPACT_USAGE}");
-        return EXIT_USAGE;
+        return Err(AppError::Usage(COMPACT_USAGE.into()));
     };
     let keep = match &args[1..] {
         [] => 0u64,
-        [flag, v] if flag == "--keep" => match v.parse::<u64>() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("--keep needs a version count\n{COMPACT_USAGE}");
-                return EXIT_USAGE;
-            }
-        },
-        _ => {
-            eprintln!("{COMPACT_USAGE}");
-            return EXIT_USAGE;
-        }
+        [flag, v] if flag == "--keep" => v.parse::<u64>().map_err(|_| {
+            AppError::Usage(format!("--keep needs a version count\n{COMPACT_USAGE}"))
+        })?,
+        _ => return Err(AppError::Usage(COMPACT_USAGE.into())),
     };
     // Open with unbounded retention: offline compaction must not throw
     // away anchors as a side effect of its own checkpoint — only the
     // explicit prune below the window removes history.
-    let shared = match SharedStore::open_durable_shared_with_retention(dir, usize::MAX) {
-        Ok(shared) => shared,
-        Err(e) => {
-            eprintln!("{dir}: {e}");
-            return EXIT_IO;
-        }
-    };
+    let shared = SharedStore::open_durable_shared_with_retention(dir, usize::MAX)
+        .map_err(|e| AppError::Io(format!("{dir}: {e}")))?;
     let mut interp = Interpreter::with_store(shared);
-    match interp.run_session_line(&format!("compact {keep}")) {
-        Ok(reply) => {
-            print!("{}", reply.output);
-            0
-        }
-        Err(e) => {
-            eprintln!("{dir}: {}", e.message);
-            EXIT_IO
-        }
-    }
+    let reply = interp
+        .run_session_line(&format!("compact {keep}"))
+        .map_err(|e| AppError::Io(format!("{dir}: {}", e.message)))?;
+    print!("{}", reply.output);
+    Ok(())
 }
 
 /// `ingest <data-dir> <dump-dir> [--as <dataset>] [--manifest <file>]
 /// [--batch <records>]`: stream the directory's dumps into the durable
 /// store and pin the load in the dataset registry.
-fn ingest_cmd(args: &[String]) -> i32 {
+fn ingest_cmd(args: &[String]) -> Result<(), AppError> {
     const INGEST_USAGE: &str = "usage: citesys ingest <data-dir> <dump-dir> \
          [--as <dataset>] [--manifest <file>] [--batch <records>]";
     let [data_dir, dump_dir, rest @ ..] = args else {
-        eprintln!("{INGEST_USAGE}");
-        return EXIT_USAGE;
+        return Err(AppError::Usage(INGEST_USAGE.into()));
     };
     let mut dataset = None;
     let mut manifest = None;
@@ -774,10 +739,7 @@ fn ingest_cmd(args: &[String]) -> i32 {
             }),
             other => Err(format!("unknown ingest option '{other}'")),
         };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{INGEST_USAGE}");
-            return EXIT_USAGE;
-        }
+        parsed.map_err(|e| AppError::Usage(format!("{e}\n{INGEST_USAGE}")))?;
     }
     // The script grammar quotes paths with single quotes; a path
     // containing one cannot round-trip through the command line.
@@ -786,17 +748,13 @@ fn ingest_cmd(args: &[String]) -> i32 {
         ("manifest", manifest.as_ref()),
     ] {
         if value.is_some_and(|v| v.contains('\'')) {
-            eprintln!("{what} path must not contain a single quote\n{INGEST_USAGE}");
-            return EXIT_USAGE;
+            return Err(AppError::Usage(format!(
+                "{what} path must not contain a single quote\n{INGEST_USAGE}"
+            )));
         }
     }
-    let shared = match SharedStore::open_durable_shared_with_retention(data_dir, 0) {
-        Ok(shared) => shared,
-        Err(e) => {
-            eprintln!("{data_dir}: {e}");
-            return EXIT_IO;
-        }
-    };
+    let shared = SharedStore::open_durable_shared_with_retention(data_dir, 0)
+        .map_err(|e| AppError::Io(format!("{data_dir}: {e}")))?;
     let mut interp = Interpreter::with_store(shared);
     let mut line = format!("ingest '{dump_dir}'");
     if let Some(name) = &dataset {
@@ -808,145 +766,105 @@ fn ingest_cmd(args: &[String]) -> i32 {
     if let Some(n) = batch {
         line.push_str(&format!(" batch {n}"));
     }
-    match interp.run_session_line(&line) {
-        Ok(reply) => {
-            print!("{}", reply.output);
-            0
-        }
-        Err(e) => {
-            eprintln!("{data_dir}: {}", e.message);
-            exit_code_for(&e)
-        }
-    }
+    let reply = interp
+        .run_session_line(&line)
+        .map_err(|e| AppError::script(&e, format!("{data_dir}: {}", e.message)))?;
+    print!("{}", reply.output);
+    Ok(())
 }
 
 /// `dataset verify <data-dir> [--manifest <file>]`: re-hash every pinned
 /// source and re-digest the store's fixity; mismatches exit
-/// [`EXIT_TAMPER`].
-fn dataset_cmd(args: &[String]) -> i32 {
+/// [`AppError::Tamper`].
+fn dataset_cmd(args: &[String]) -> Result<(), AppError> {
     const DATASET_USAGE: &str = "usage: citesys dataset verify <data-dir> [--manifest <file>]";
     let Some("verify") = args.first().map(String::as_str) else {
-        eprintln!("{DATASET_USAGE}");
-        return EXIT_USAGE;
+        return Err(AppError::Usage(DATASET_USAGE.into()));
     };
     let (dir, manifest) = match &args[1..] {
         [dir] => (dir, None),
         [dir, flag, m] if flag == "--manifest" => (dir, Some(m.as_str())),
-        _ => {
-            eprintln!("{DATASET_USAGE}");
-            return EXIT_USAGE;
-        }
+        _ => return Err(AppError::Usage(DATASET_USAGE.into())),
     };
     if manifest.is_some_and(|m| m.contains('\'')) {
-        eprintln!("manifest path must not contain a single quote\n{DATASET_USAGE}");
-        return EXIT_USAGE;
+        return Err(AppError::Usage(format!(
+            "manifest path must not contain a single quote\n{DATASET_USAGE}"
+        )));
     }
     // Unbounded retention: verification must not discard time-travel
     // anchors its fixity re-digest may need to reach a pinned version.
-    let shared = match SharedStore::open_durable_shared_with_retention(dir, usize::MAX) {
-        Ok(shared) => shared,
-        Err(e) => {
-            eprintln!("{dir}: {e}");
-            return EXIT_IO;
-        }
-    };
+    let shared = SharedStore::open_durable_shared_with_retention(dir, usize::MAX)
+        .map_err(|e| AppError::Io(format!("{dir}: {e}")))?;
     let mut interp = Interpreter::with_store(shared);
     let line = match manifest {
         Some(m) => format!("dataset verify '{m}'"),
         None => "dataset verify".to_string(),
     };
-    match interp.run_session_line(&line) {
-        Ok(reply) => {
-            print!("{}", reply.output);
-            0
+    let reply = interp.run_session_line(&line).map_err(|e| {
+        let message = format!("{dir}: {}", e.message);
+        if e.kind == ScriptErrorKind::Citation
+            && e.message.starts_with("dataset verification failed")
+        {
+            AppError::Tamper(message)
+        } else {
+            AppError::script(&e, message)
         }
-        Err(e) => {
-            eprintln!("{dir}: {}", e.message);
-            if e.kind == ScriptErrorKind::Citation
-                && e.message.starts_with("dataset verification failed")
-            {
-                EXIT_TAMPER
-            } else {
-                exit_code_for(&e)
-            }
-        }
-    }
+    })?;
+    print!("{}", reply.output);
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = run(&args) {
+        eprintln!("{}", e.message());
+        std::process::exit(e.code());
+    }
+}
+
+/// Dispatches one command line: a subcommand, or a script to run.
+fn run(args: &[String]) -> Result<(), AppError> {
     let source = match args.first().map(String::as_str) {
         Some("--help") | Some("-h") | Some("help") => {
             println!("{}", usage());
-            return;
+            return Ok(());
         }
-        None => {
-            eprintln!("{}", usage());
-            std::process::exit(EXIT_USAGE);
-        }
+        None => return Err(AppError::Usage(usage())),
         Some("serve") => {
-            let opts = match parse_serve_opts(&args[1..]) {
-                Ok(opts) => opts,
-                Err(e) => {
-                    eprintln!("{e}\n\n{}", usage());
-                    std::process::exit(EXIT_USAGE);
-                }
-            };
-            let code = if opts.listen.is_some() {
+            let opts = parse_serve_opts(&args[1..])
+                .map_err(|e| AppError::Usage(format!("{e}\n\n{}", usage())))?;
+            return if opts.listen.is_some() {
                 serve_tcp(&opts)
             } else {
                 serve_stdin(&opts)
             };
-            std::process::exit(code);
         }
-        Some("client") => {
-            std::process::exit(client(&args[1..]));
-        }
-        Some("ingest") => {
-            std::process::exit(ingest_cmd(&args[1..]));
-        }
-        Some("dataset") => {
-            std::process::exit(dataset_cmd(&args[1..]));
-        }
-        Some("checkpoint") => {
-            std::process::exit(checkpoint_cmd(&args[1..]));
-        }
-        Some("recover") => {
-            std::process::exit(recover_cmd(&args[1..]));
-        }
-        Some("compact") => {
-            std::process::exit(compact_cmd(&args[1..]));
-        }
-        Some("wal") => {
-            std::process::exit(wal_cmd(&args[1..]));
-        }
+        Some("client") => return client(&args[1..]),
+        Some("ingest") => return ingest_cmd(&args[1..]),
+        Some("dataset") => return dataset_cmd(&args[1..]),
+        Some("checkpoint") => return checkpoint_cmd(&args[1..]),
+        Some("recover") => return recover_cmd(&args[1..]),
+        Some("compact") => return compact_cmd(&args[1..]),
+        Some("wal") => return wal_cmd(&args[1..]),
         Some("-") => {
             let mut buf = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-                eprintln!("error reading stdin: {e}");
-                std::process::exit(EXIT_IO);
-            }
+            std::io::stdin()
+                .read_to_string(&mut buf)
+                .map_err(|e| AppError::Io(format!("error reading stdin: {e}")))?;
             buf
         }
         Some(flag) if flag.starts_with('-') => {
-            eprintln!("unknown option '{flag}'\n\n{}", usage());
-            std::process::exit(EXIT_USAGE);
+            return Err(AppError::Usage(format!(
+                "unknown option '{flag}'\n\n{}",
+                usage()
+            )))
         }
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error reading {path}: {e}");
-                std::process::exit(EXIT_IO);
-            }
-        },
+        Some(path) => std::fs::read_to_string(path)
+            .map_err(|e| AppError::Io(format!("error reading {path}: {e}")))?,
     };
-
-    let mut interp = Interpreter::new();
-    match interp.run(&source) {
-        Ok(out) => print!("{out}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(exit_code_for(&e));
-        }
-    }
+    let out = Interpreter::new()
+        .run(&source)
+        .map_err(|e| AppError::script(&e, format!("error: {e}")))?;
+    print!("{out}");
+    Ok(())
 }
