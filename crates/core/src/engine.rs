@@ -23,11 +23,12 @@
 //! rewrite plans and materialized views across calls over the free
 //! functions in this module.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use citesys_cq::{ConjunctiveQuery, Symbol, Term, Value, ValueType};
 use citesys_rewrite::{rewrite, RewritePlan, RewriteStats, Rewriting};
-use citesys_storage::{evaluate, Attribute, Database, QueryAnswer, RelationSchema, Tuple};
+use citesys_storage::{evaluate, Attribute, Binding, Database, QueryAnswer, RelationSchema, Tuple};
 
 use crate::error::CiteError;
 use crate::expr::{CiteAtom, CiteExpr};
@@ -97,8 +98,10 @@ pub struct TupleCitation {
     /// Citation atoms selected by the policies.
     pub atoms: BTreeSet<CiteAtom>,
     /// Rendered snippets (one per atom under `JointPolicy::Union`, a
-    /// single merged snippet under `JointPolicy::Join`).
-    pub snippets: Vec<CitationSnippet>,
+    /// single merged snippet under `JointPolicy::Join`). An atom's snippet
+    /// is rendered once per cite and shared by every tuple and the
+    /// aggregate that cite it.
+    pub snippets: Vec<Arc<CitationSnippet>>,
 }
 
 impl TupleCitation {
@@ -113,8 +116,8 @@ impl TupleCitation {
 pub struct AggregateCitation {
     /// Union of the per-tuple citation atoms.
     pub atoms: BTreeSet<CiteAtom>,
-    /// Rendered snippets.
-    pub snippets: Vec<CitationSnippet>,
+    /// Rendered snippets, shared with the tuples that cite the same atoms.
+    pub snippets: Vec<Arc<CitationSnippet>>,
 }
 
 /// Everything the engine produces for one query.
@@ -135,6 +138,10 @@ pub struct CitedAnswer {
     /// Rewriting-search statistics. A re-cite through a prepared plan has
     /// `plan_cache_hits == 1` and zero search-effort counters.
     pub rewrite_stats: RewriteStats,
+    /// Tuples a rewriting derived that the direct evaluation did not; they
+    /// stay uncited. Equivalent rewritings make this 0, so anything else
+    /// is an engine defect (debug builds assert on it).
+    pub unmatched_tuples: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -232,11 +239,145 @@ pub(crate) fn materialize_views_into(
     Ok(())
 }
 
+/// A per-cite citation-atom id: the index of one distinct
+/// (view, λ-valuation) pair in the cite's atom table.
+type AtomId = u32;
+
+/// The distinct citation atoms of one cite, interned to dense ids while
+/// annotation runs.
+#[derive(Default)]
+struct AtomInterner {
+    atoms: Vec<CiteAtom>,
+    /// Each view's slot in `valuations`.
+    slots: HashMap<Symbol, usize>,
+    /// Per view slot, the id of each λ-valuation seen so far.
+    valuations: Vec<HashMap<Vec<Value>, AtomId>>,
+}
+
+impl AtomInterner {
+    /// The slot of `view`'s valuations, looked up once per rewriting atom
+    /// rather than once per binding.
+    fn slot(&mut self, view: &Symbol) -> usize {
+        let next = self.slots.len();
+        let slot = *self.slots.entry(view.clone()).or_insert(next);
+        if slot == self.valuations.len() {
+            self.valuations.push(HashMap::new());
+        }
+        slot
+    }
+
+    /// The id of the atom `view(params)`, where `slot` is `view`'s slot.
+    fn intern(&mut self, slot: usize, view: &Symbol, params: &[Value]) -> AtomId {
+        if let Some(&id) = self.valuations[slot].get(params) {
+            return id;
+        }
+        let id = AtomId::try_from(self.atoms.len()).expect("fewer than 2^32 atoms per cite");
+        self.atoms
+            .push(CiteAtom::new(view.clone(), params.to_vec()));
+        self.valuations[slot].insert(params.to_vec(), id);
+        id
+    }
+
+    /// Renumbers the ids so that id order is atom order. Returns the atoms
+    /// by new id and the old → new id map. With the ids in atom order the
+    /// normal forms over ids are the normal forms over atoms, id for atom.
+    fn into_sorted(self) -> (Vec<CiteAtom>, Vec<AtomId>) {
+        let mut by_atom: Vec<(CiteAtom, AtomId)> = self.atoms.into_iter().zip(0..).collect();
+        by_atom.sort_unstable();
+        let mut renumber = vec![0; by_atom.len()];
+        for (new, (_, old)) in (0..).zip(&by_atom) {
+            renumber[*old as usize] = new;
+        }
+        (by_atom.into_iter().map(|(a, _)| a).collect(), renumber)
+    }
+}
+
+/// How one body atom of a rewriting contributes to each binding's joint
+/// citation `CV1(B1) · … · CVn(Bn)`.
+enum Factor<'r> {
+    /// An unparameterized view: the same atom for every binding.
+    Fixed(AtomId),
+    /// A λ-parameterized view: the atom's parameters are the binding's
+    /// values of these terms.
+    Param {
+        view: &'r Symbol,
+        slot: usize,
+        terms: Vec<&'r Term>,
+    },
+}
+
+/// The factors of `r`'s body atoms, with unparameterized atoms interned
+/// once for the whole rewriting.
+fn factors<'r>(
+    registry: &CitationRegistry,
+    r: &'r Rewriting,
+    interner: &mut AtomInterner,
+) -> Result<Vec<Factor<'r>>, CiteError> {
+    r.query
+        .body
+        .iter()
+        .map(|atom| {
+            let view = &atom.predicate;
+            let cv = registry
+                .get(view.as_str())
+                .ok_or_else(|| CiteError::BadCitationView {
+                    view: view.to_string(),
+                    reason: "rewriting references unregistered view".to_string(),
+                })?;
+            let slot = interner.slot(view);
+            let positions = cv.view.param_positions();
+            if positions.is_empty() {
+                return Ok(Factor::Fixed(interner.intern(slot, view, &[])));
+            }
+            // The view relation `r` was evaluated over has the view head's
+            // arity, so every head position is a term of `atom`.
+            let terms = positions.iter().map(|(_, pos)| &atom.terms[*pos]).collect();
+            Ok(Factor::Param { view, slot, terms })
+        })
+        .collect()
+}
+
+/// One binding's joint citation, unnormalized. `params` is scratch space
+/// for the λ-valuations, reused across bindings.
+fn binding_product(
+    factors: &[Factor<'_>],
+    binding: &Binding,
+    interner: &mut AtomInterner,
+    params: &mut Vec<Value>,
+) -> Result<CiteExpr<AtomId>, CiteError> {
+    let mut ids = Vec::with_capacity(factors.len());
+    for factor in factors {
+        ids.push(CiteExpr::Atom(match factor {
+            Factor::Fixed(id) => *id,
+            Factor::Param { view, slot, terms } => {
+                params.clear();
+                for t in terms {
+                    params.push(binding.eval_term(t).ok_or_else(|| {
+                        CiteError::BadCitationView {
+                            view: view.to_string(),
+                            reason: "λ-parameter position not bound by the rewriting's binding"
+                                .to_string(),
+                        }
+                    })?);
+                }
+                interner.intern(*slot, view, params)
+            }
+        }));
+    }
+    Ok(CiteExpr::Prod(ids))
+}
+
 /// Steps 4–7 of the pipeline: evaluate the selected rewritings over the
 /// materialized views, assemble the per-tuple citation expressions, apply
 /// the policies and render snippets. `stats` is embedded verbatim in the
 /// result (the caller decides whether it reflects a fresh search or a plan
 /// cache hit).
+///
+/// Annotation works on per-cite atom ids: the branch matrix is indexed by
+/// the base answer's rows and holds `CiteExpr<AtomId>`s, the policies run
+/// over ids, and each selected atom is rendered once and shared. The
+/// public `CiteAtom`s are resolved from the id table only when the tuples
+/// are assembled.
 #[allow(clippy::too_many_arguments)] // internal seam between pipeline/service
 pub(crate) fn cite_selected(
     db: &Database,
@@ -257,84 +398,73 @@ pub(crate) fn cite_selected(
     // Ground-truth answer (also the digest basis for fixity).
     let answer = evaluate(db, q)?;
 
-    // Per-rewriting, per-tuple citation expressions.
-    let mut branch_map: BTreeMap<Tuple, Vec<CiteExpr>> = BTreeMap::new();
-    for row in &answer.rows {
-        branch_map.insert(row.tuple.clone(), vec![CiteExpr::zero(); selected.len()]);
-    }
+    // matrix[row][r]: the citation of answer row `row` under rewriting `r`.
+    let mut interner = AtomInterner::default();
+    let mut matrix: Vec<Vec<CiteExpr<AtomId>>> =
+        vec![vec![CiteExpr::zero(); selected.len()]; answer.rows.len()];
+    let mut unmatched_tuples = 0;
+    let mut params = Vec::new();
     for (ri, r) in selected.iter().enumerate() {
         let ans = evaluate(view_db, &r.query)?;
+        let factors = factors(registry, r, &mut interner)?;
+        // Both answers are sorted by tuple: one merge walk finds each
+        // rewriting row's index in the base answer.
+        let mut base = 0;
         for row in &ans.rows {
-            let summands: Vec<CiteExpr> = row
-                .bindings
-                .iter()
-                .map(|b| {
-                    let factors: Vec<CiteExpr> = r
-                        .query
-                        .body
-                        .iter()
-                        .map(|atom| {
-                            let cv = registry
-                                .get(atom.predicate.as_str())
-                                .expect("rewriting uses registered views");
-                            let params: Vec<Value> = cv
-                                .view
-                                .param_positions()
-                                .iter()
-                                .map(|(_, pos)| {
-                                    b.eval_term(&atom.terms[*pos])
-                                        .expect("distinguished view position bound by binding")
-                                })
-                                .collect();
-                            CiteExpr::Atom(CiteAtom::new(atom.predicate.clone(), params))
-                        })
-                        .collect();
-                    CiteExpr::prod(factors)
-                })
-                .collect();
-            let expr = CiteExpr::sum(summands);
+            while answer.rows.get(base).is_some_and(|b| b.tuple < row.tuple) {
+                base += 1;
+            }
             // Equivalent rewritings produce the same tuple set as the
-            // direct evaluation; tolerate (and ignore) discrepancies in
-            // release builds rather than corrupting citations.
+            // direct evaluation; a discrepancy is counted, not cited.
+            let matched = answer.rows.get(base).is_some_and(|b| b.tuple == row.tuple);
             debug_assert!(
-                branch_map.contains_key(&row.tuple),
+                matched,
                 "rewriting produced tuple {:?} absent from direct answer",
                 row.tuple
             );
-            if let Some(branches) = branch_map.get_mut(&row.tuple) {
-                branches[ri] = expr;
+            if !matched {
+                unmatched_tuples += 1;
+                continue;
             }
+            let mut product = |b| binding_product(&factors, b, &mut interner, &mut params);
+            // A single binding is its own sum: skip the one-child `+` node.
+            matrix[base][ri] = match row.bindings.as_slice() {
+                [binding] => product(binding)?,
+                bindings => CiteExpr::Sum(bindings.iter().map(product).collect::<Result<_, _>>()?),
+            };
+        }
+    }
+
+    // Ids in atom order, then each branch in normal form.
+    let (atoms, renumber) = interner.into_sorted();
+    for branches in &mut matrix {
+        for branch in branches.iter_mut() {
+            let raw = std::mem::replace(branch, CiteExpr::zero());
+            *branch = raw.map(&mut |id| renumber[id as usize]).normalize();
         }
     }
 
     // Global +R choice, per-tuple interpretation.
-    let branch_matrix: Vec<Vec<CiteExpr>> = answer
-        .rows
-        .iter()
-        .map(|row| branch_map[&row.tuple].clone())
-        .collect();
     let choice = if partial {
         // Contained rewritings each cover different tuples; union them.
         RewritingChoice::All
     } else {
         match options.mode {
             CitationMode::CostPruned => RewritingChoice::Index(0),
-            CitationMode::Formal => choose_rewriting(options.policies.rewritings, &branch_matrix),
+            CitationMode::Formal => choose_rewriting(options.policies.rewritings, &matrix),
         }
     };
 
-    // Render snippets (cached per atom).
-    let mut snippet_cache: BTreeMap<CiteAtom, CitationSnippet> = BTreeMap::new();
+    let mut rendered: Vec<Option<Arc<CitationSnippet>>> = vec![None; atoms.len()];
+    let mut resolve = |id: AtomId| atoms[id as usize].clone();
     let mut tuples = Vec::with_capacity(answer.rows.len());
-    let mut agg_atoms: BTreeSet<CiteAtom> = BTreeSet::new();
-    for (row, branches) in answer.rows.iter().zip(branch_matrix) {
-        let atoms = atoms_for_tuple(&options.policies, &branches, choice);
-        agg_atoms.extend(atoms.iter().cloned());
-        let snippets = render_atoms(db, registry, options, &atoms, &mut snippet_cache)?;
+    for (row, branches) in answer.rows.iter().zip(matrix) {
+        let ids = atoms_for_tuple(&options.policies, &branches, choice);
+        let snippets = render_atoms(db, registry, options, &ids, &atoms, &mut rendered)?;
         tuples.push(TupleCitation {
             tuple: row.tuple.clone(),
-            branches,
-            atoms,
+            branches: branches.into_iter().map(|b| b.map(&mut resolve)).collect(),
+            atoms: ids.into_iter().map(resolve).collect(),
             snippets,
         });
     }
@@ -342,9 +472,14 @@ pub(crate) fn cite_selected(
     let aggregate = match options.policies.agg {
         AggPolicy::PerTupleOnly => None,
         AggPolicy::Union => {
-            let snippets = render_atoms(db, registry, options, &agg_atoms, &mut snippet_cache)?;
+            // The atoms some tuple cites are exactly the rendered ones.
+            let ids: BTreeSet<AtomId> = (0..)
+                .zip(&rendered)
+                .filter_map(|(id, s)| s.is_some().then_some(id))
+                .collect();
+            let snippets = render_atoms(db, registry, options, &ids, &atoms, &mut rendered)?;
             Some(AggregateCitation {
-                atoms: agg_atoms,
+                atoms: ids.into_iter().map(resolve).collect(),
                 snippets,
             })
         }
@@ -366,6 +501,7 @@ pub(crate) fn cite_selected(
         tuples,
         aggregate,
         rewrite_stats: stats,
+        unmatched_tuples,
     })
 }
 
@@ -400,32 +536,35 @@ pub(crate) fn cite_uncached(
     )
 }
 
-/// Renders the snippets for a set of atoms under the joint policy.
-pub(crate) fn render_atoms(
+/// The snippets for a set of atom ids under the joint policy. Each atom is
+/// rendered on first use and its snippet shared from then on.
+fn render_atoms(
     db: &Database,
     registry: &CitationRegistry,
     options: &EngineOptions,
-    atoms: &BTreeSet<CiteAtom>,
-    cache: &mut BTreeMap<CiteAtom, CitationSnippet>,
-) -> Result<Vec<CitationSnippet>, CiteError> {
-    let mut snippets = Vec::with_capacity(atoms.len());
-    for atom in atoms {
-        if let Some(hit) = cache.get(atom) {
-            snippets.push(hit.clone());
-            continue;
-        }
-        let rendered = render_atom(db, registry, atom)?;
-        cache.insert(atom.clone(), rendered.clone());
-        snippets.push(rendered);
+    ids: &BTreeSet<AtomId>,
+    atoms: &[CiteAtom],
+    rendered: &mut [Option<Arc<CitationSnippet>>],
+) -> Result<Vec<Arc<CitationSnippet>>, CiteError> {
+    let mut snippets = Vec::with_capacity(ids.len());
+    for &id in ids {
+        let slot = &mut rendered[id as usize];
+        let snippet = match slot {
+            Some(hit) => Arc::clone(hit),
+            None => {
+                Arc::clone(slot.insert(Arc::new(render_atom(db, registry, &atoms[id as usize])?)))
+            }
+        };
+        snippets.push(snippet);
     }
     if options.policies.joint == JointPolicy::Join && snippets.len() > 1 {
-        let mut merged = snippets[0].clone();
+        let mut merged = CitationSnippet::clone(&snippets[0]);
         for s in &snippets[1..] {
             merged.absorb(s);
         }
         merged.view = Symbol::new("joined");
         merged.params = Vec::new();
-        snippets = vec![merged];
+        snippets = vec![Arc::new(merged)];
     }
     Ok(snippets)
 }
@@ -558,7 +697,7 @@ mod tests {
     use crate::paper;
     use crate::policy::RewritePolicy;
     use crate::service::CitationService;
-    use citesys_cq::parse_query;
+    use citesys_cq::{parse_query, Value};
     use citesys_storage::tuple;
 
     fn engine_fixture() -> (Database, CitationRegistry) {
@@ -956,6 +1095,42 @@ mod tests {
         );
         let cited = service.cite(&paper::paper_query()).unwrap();
         assert_eq!(cited.coverage, Coverage::Full);
+    }
+
+    #[test]
+    fn rewriting_over_unregistered_view_is_an_error_not_a_panic() {
+        // A hand-built rewriting over `VX`, a relation of the view
+        // database that no citation view declares: the annotation must
+        // refuse it with an error, whatever rows it derives.
+        let (db, reg) = engine_fixture();
+        let q = paper::paper_query();
+        let mut view_db = Database::new();
+        view_db
+            .create_relation(RelationSchema::from_parts(
+                "VX",
+                &[("FName", ValueType::Text)],
+                &[],
+            ))
+            .unwrap();
+        view_db.insert("VX", tuple!["Calcitonin"]).unwrap();
+        let rewriting = Rewriting {
+            query: parse_query("Q(FName) :- VX(FName)").unwrap(),
+            expansion: q.clone(),
+        };
+        let result = cite_selected(
+            &db,
+            &reg,
+            &EngineOptions::default(),
+            &q,
+            &[&rewriting],
+            false,
+            &view_db,
+            RewriteStats::default(),
+        );
+        match result {
+            Err(CiteError::BadCitationView { view, .. }) => assert_eq!(view, "VX"),
+            other => panic!("expected BadCitationView, got {other:?}"),
+        }
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //! the interpretation. It is not a semiring: `0` and `1` both read as ∅,
 //! so nothing annihilates (`a·0` reads as `a`), and under `AltPolicy::First`
 //! distributivity fails.
+//!
+//! [`CiteExpr`] is generic over its atom type. The public type is
+//! `CiteExpr<CiteAtom>`; the engine annotates with `CiteExpr<u32>`, where
+//! each id stands for one distinct atom of a cite and id order equals atom
+//! order, so both instances have the same normal forms.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -69,20 +74,20 @@ impl fmt::Display for CiteAtom {
     }
 }
 
-/// A symbolic citation expression.
+/// A symbolic citation expression over atoms of type `A`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum CiteExpr {
+pub enum CiteExpr<A = CiteAtom> {
     /// A view citation instance.
-    Atom(CiteAtom),
+    Atom(A),
     /// Joint use (`·`) — one binding's view citations.
-    Prod(Vec<CiteExpr>),
+    Prod(Vec<CiteExpr<A>>),
     /// Alternatives (`+`) — multiple bindings.
-    Sum(Vec<CiteExpr>),
+    Sum(Vec<CiteExpr<A>>),
     /// Alternatives across rewritings (`+R`).
-    AltR(Vec<CiteExpr>),
+    AltR(Vec<CiteExpr<A>>),
 }
 
-impl CiteExpr {
+impl<A> CiteExpr<A> {
     /// The empty alternative (no derivation — identity of `+`).
     pub fn zero() -> Self {
         CiteExpr::Sum(Vec::new())
@@ -93,18 +98,53 @@ impl CiteExpr {
         CiteExpr::Prod(Vec::new())
     }
 
+    /// Replaces every atom by `f(atom)`, keeping the structure as it is.
+    /// The result is in normal form again only if `f` is injective and
+    /// keeps atom order.
+    pub fn map<B>(self, f: &mut impl FnMut(A) -> B) -> CiteExpr<B> {
+        match self {
+            CiteExpr::Atom(a) => CiteExpr::Atom(f(a)),
+            CiteExpr::Prod(cs) => CiteExpr::Prod(cs.into_iter().map(|c| c.map(f)).collect()),
+            CiteExpr::Sum(cs) => CiteExpr::Sum(cs.into_iter().map(|c| c.map(f)).collect()),
+            CiteExpr::AltR(cs) => CiteExpr::AltR(cs.into_iter().map(|c| c.map(f)).collect()),
+        }
+    }
+
+    /// The alternatives under `+R` (a single-rewriting expression is one
+    /// alternative).
+    pub fn rewriting_branches(&self) -> Vec<&CiteExpr<A>> {
+        match self {
+            CiteExpr::AltR(cs) => cs.iter().collect(),
+            other => vec![other],
+        }
+    }
+
+    /// Adds every atom occurrence of the expression to `out`.
+    pub(crate) fn collect_atoms<'a>(&'a self, out: &mut impl Extend<&'a A>) {
+        match self {
+            CiteExpr::Atom(a) => out.extend([a]),
+            CiteExpr::Prod(cs) | CiteExpr::Sum(cs) | CiteExpr::AltR(cs) => {
+                for c in cs {
+                    c.collect_atoms(out);
+                }
+            }
+        }
+    }
+}
+
+impl<A: Clone + Ord> CiteExpr<A> {
     /// Builds a normalized joint combination.
-    pub fn prod(children: Vec<CiteExpr>) -> Self {
+    pub fn prod(children: Vec<CiteExpr<A>>) -> Self {
         CiteExpr::Prod(children).normalize()
     }
 
     /// Builds a normalized alternative combination.
-    pub fn sum(children: Vec<CiteExpr>) -> Self {
+    pub fn sum(children: Vec<CiteExpr<A>>) -> Self {
         CiteExpr::Sum(children).normalize()
     }
 
     /// Builds a normalized across-rewritings combination.
-    pub fn alt_r(children: Vec<CiteExpr>) -> Self {
+    pub fn alt_r(children: Vec<CiteExpr<A>>) -> Self {
         CiteExpr::AltR(children).normalize()
     }
 
@@ -115,7 +155,7 @@ impl CiteExpr {
     ///   union-style interpretations the paper suggests),
     /// * `AltR` children are deduplicated but keep rewriting order,
     /// * single-child combinations unwrap.
-    pub fn normalize(&self) -> CiteExpr {
+    pub fn normalize(&self) -> CiteExpr<A> {
         match self {
             CiteExpr::Atom(_) => self.clone(),
             CiteExpr::Prod(cs) => {
@@ -177,25 +217,14 @@ impl CiteExpr {
             }
         }
     }
+}
 
+impl<A: Ord> CiteExpr<A> {
     /// All distinct citation atoms in the expression.
-    pub fn atoms(&self) -> BTreeSet<&CiteAtom> {
+    pub fn atoms(&self) -> BTreeSet<&A> {
         let mut out = BTreeSet::new();
         self.collect_atoms(&mut out);
         out
-    }
-
-    fn collect_atoms<'a>(&'a self, out: &mut BTreeSet<&'a CiteAtom>) {
-        match self {
-            CiteExpr::Atom(a) => {
-                out.insert(a);
-            }
-            CiteExpr::Prod(cs) | CiteExpr::Sum(cs) | CiteExpr::AltR(cs) => {
-                for c in cs {
-                    c.collect_atoms(out);
-                }
-            }
-        }
     }
 
     /// Estimated size of the final citation under union-style
@@ -206,15 +235,6 @@ impl CiteExpr {
     pub fn estimated_size(&self) -> usize {
         self.atoms().len()
     }
-
-    /// The alternatives under `+R` (a single-rewriting expression is one
-    /// alternative).
-    pub fn rewriting_branches(&self) -> Vec<&CiteExpr> {
-        match self {
-            CiteExpr::AltR(cs) => cs.iter().collect(),
-            other => vec![other],
-        }
-    }
 }
 
 impl From<CiteAtom> for CiteExpr {
@@ -223,11 +243,15 @@ impl From<CiteAtom> for CiteExpr {
     }
 }
 
-impl fmt::Display for CiteExpr {
+impl<A: fmt::Display> fmt::Display for CiteExpr<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn go(e: &CiteExpr, f: &mut fmt::Formatter<'_>, parent: u8) -> fmt::Result {
+        fn go<A: fmt::Display>(
+            e: &CiteExpr<A>,
+            f: &mut fmt::Formatter<'_>,
+            parent: u8,
+        ) -> fmt::Result {
             // Precedence: Atom (3) > Prod (2) > Sum (1) > AltR (0).
-            let (prec, sep, cs): (u8, &str, &[CiteExpr]) = match e {
+            let (prec, sep, cs): (u8, &str, &[CiteExpr<A>]) = match e {
                 CiteExpr::Atom(a) => return write!(f, "{a}"),
                 CiteExpr::Prod(cs) => (2, "·", cs),
                 CiteExpr::Sum(cs) => (1, " + ", cs),
@@ -343,8 +367,8 @@ mod tests {
 
     #[test]
     fn identities_render() {
-        assert_eq!(CiteExpr::zero().to_string(), "0");
-        assert_eq!(CiteExpr::one().to_string(), "1");
+        assert_eq!(CiteExpr::<CiteAtom>::zero().to_string(), "0");
+        assert_eq!(CiteExpr::<CiteAtom>::one().to_string(), "1");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! becomes the title); everything else is carried in notes/keyword slots so
 //! no curated information is dropped.
 
+use std::borrow::Borrow;
+
 use crate::fixity::FixityToken;
 use crate::snippet::CitationSnippet;
 
@@ -137,21 +139,26 @@ fn key_of(s: &CitationSnippet, i: usize) -> String {
 /// assert!(bib.starts_with("@misc{"));
 /// assert!(bib.contains("IUPHAR/BPS Guide to PHARMACOLOGY..."));
 /// ```
-pub fn format_citation(
-    snippets: &[CitationSnippet],
+pub fn format_citation<S: Borrow<CitationSnippet>>(
+    snippets: &[S],
     fixity: Option<&FixityToken>,
     format: CitationFormat,
 ) -> String {
     format_citation_with(snippets, fixity, format, &FormatOptions::default())
 }
 
-/// Renders with explicit [`FormatOptions`].
-pub fn format_citation_with(
-    snippets: &[CitationSnippet],
+/// Renders with explicit [`FormatOptions`]. Like
+/// [`format_citation`], it takes owned or shared snippets (`&[CitationSnippet]`
+/// or the `&[Arc<CitationSnippet>]` a [`CitedAnswer`](crate::CitedAnswer)
+/// holds).
+pub fn format_citation_with<S: Borrow<CitationSnippet>>(
+    snippets: &[S],
     fixity: Option<&FixityToken>,
     format: CitationFormat,
     opts: &FormatOptions,
 ) -> String {
+    let snippets: Vec<&CitationSnippet> = snippets.iter().map(Borrow::borrow).collect();
+    let snippets = snippets.as_slice();
     match format {
         CitationFormat::Text => text(snippets, fixity, opts),
         CitationFormat::BibTex => bibtex(snippets, fixity, opts),
@@ -163,7 +170,7 @@ pub fn format_citation_with(
 }
 
 fn text(
-    snippets: &[CitationSnippet],
+    snippets: &[&CitationSnippet],
     fixity: Option<&FixityToken>,
     opts: &FormatOptions,
 ) -> String {
@@ -198,7 +205,7 @@ fn bibtex_escape(s: &str) -> String {
 }
 
 fn bibtex(
-    snippets: &[CitationSnippet],
+    snippets: &[&CitationSnippet],
     fixity: Option<&FixityToken>,
     opts: &FormatOptions,
 ) -> String {
@@ -231,7 +238,11 @@ fn bibtex(
     out
 }
 
-fn ris(snippets: &[CitationSnippet], fixity: Option<&FixityToken>, opts: &FormatOptions) -> String {
+fn ris(
+    snippets: &[&CitationSnippet],
+    fixity: Option<&FixityToken>,
+    opts: &FormatOptions,
+) -> String {
     let mut out = String::new();
     for s in snippets {
         out.push_str("TY  - DBASE\n");
@@ -258,7 +269,7 @@ fn xml_escape(s: &str) -> String {
         .replace('"', "&quot;")
 }
 
-fn xml(snippets: &[CitationSnippet], fixity: Option<&FixityToken>) -> String {
+fn xml(snippets: &[&CitationSnippet], fixity: Option<&FixityToken>) -> String {
     let mut out = String::from("<citations>\n");
     for s in snippets {
         out.push_str(&format!(
@@ -308,7 +319,7 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn json(snippets: &[CitationSnippet], fixity: Option<&FixityToken>) -> String {
+fn json(snippets: &[&CitationSnippet], fixity: Option<&FixityToken>) -> String {
     let mut out = String::from("{\"citations\":[");
     for (i, s) in snippets.iter().enumerate() {
         if i > 0 {
@@ -357,7 +368,7 @@ fn json(snippets: &[CitationSnippet], fixity: Option<&FixityToken>) -> String {
 /// item with `author` (literal names), `title`, `id`, and the fixity data
 /// in `version`/`note`.
 fn csl_json(
-    snippets: &[CitationSnippet],
+    snippets: &[&CitationSnippet],
     fixity: Option<&FixityToken>,
     opts: &FormatOptions,
 ) -> String {
@@ -500,7 +511,7 @@ mod tests {
             CitationFormat::Xml,
             CitationFormat::Json,
         ] {
-            let out = format_citation(&[], None, fmt);
+            let out = format_citation::<CitationSnippet>(&[], None, fmt);
             // No panics, and XML/JSON are still well-formed containers.
             if fmt == CitationFormat::Xml {
                 assert!(out.contains("<citations>"));
@@ -523,7 +534,10 @@ mod tests {
         assert!(out.ends_with("}]"));
         assert_eq!(out.matches('{').count(), out.matches('}').count());
         // Empty list is valid CSL-JSON too.
-        assert_eq!(format_citation(&[], None, CitationFormat::CslJson), "[]");
+        assert_eq!(
+            format_citation::<CitationSnippet>(&[], None, CitationFormat::CslJson),
+            "[]"
+        );
     }
 
     #[test]

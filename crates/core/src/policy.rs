@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::expr::{CiteAtom, CiteExpr};
+use crate::expr::CiteExpr;
 
 /// Interpretation of `·` (joint use within one binding).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -92,10 +92,12 @@ pub enum RewritingChoice {
 /// per tuple.
 ///
 /// `per_tuple_branches[t][r]` is the citation expression of tuple `t` under
-/// rewriting `r` (all tuples have the same number of branches).
-pub fn choose_rewriting(
+/// rewriting `r` (all tuples have the same number of branches). The atom
+/// type is generic: the size of a branch is its number of distinct atoms,
+/// whatever stands for them.
+pub fn choose_rewriting<A: Ord>(
     policy: RewritePolicy,
-    per_tuple_branches: &[Vec<CiteExpr>],
+    per_tuple_branches: &[Vec<CiteExpr<A>>],
 ) -> RewritingChoice {
     match policy {
         RewritePolicy::Union => RewritingChoice::All,
@@ -107,11 +109,14 @@ pub fn choose_rewriting(
             }
             let mut best = 0usize;
             let mut best_size = usize::MAX;
+            let mut atoms: Vec<&A> = Vec::new();
             for r in 0..n {
-                let mut atoms: BTreeSet<&CiteAtom> = BTreeSet::new();
+                atoms.clear();
                 for branches in per_tuple_branches {
-                    atoms.extend(branches[r].atoms());
+                    branches[r].collect_atoms(&mut atoms);
                 }
+                atoms.sort_unstable();
+                atoms.dedup();
                 if atoms.len() < best_size {
                     best_size = atoms.len();
                     best = r;
@@ -124,12 +129,12 @@ pub fn choose_rewriting(
 
 /// Interprets one tuple's branches under the already-made `+R` choice and
 /// the `+` policy, yielding the set of citation atoms to render.
-pub fn atoms_for_tuple(
+pub fn atoms_for_tuple<A: Clone + Ord>(
     policies: &PolicySet,
-    branches: &[CiteExpr],
+    branches: &[CiteExpr<A>],
     choice: RewritingChoice,
-) -> BTreeSet<CiteAtom> {
-    let exprs: Vec<&CiteExpr> = match choice {
+) -> BTreeSet<A> {
+    let exprs: Vec<&CiteExpr<A>> = match choice {
         RewritingChoice::All => branches.iter().collect(),
         RewritingChoice::Index(i) => branches.get(i).into_iter().collect(),
     };
@@ -141,7 +146,7 @@ pub fn atoms_for_tuple(
 }
 
 /// Recursive interpretation of a (normalized) expression under `+`/`·`.
-fn collect(policies: &PolicySet, e: &CiteExpr, out: &mut BTreeSet<CiteAtom>) {
+fn collect<A: Clone + Ord>(policies: &PolicySet, e: &CiteExpr<A>, out: &mut BTreeSet<A>) {
     match e {
         CiteExpr::Atom(a) => {
             out.insert(a.clone());
@@ -178,6 +183,7 @@ fn collect(policies: &PolicySet, e: &CiteExpr, out: &mut BTreeSet<CiteAtom>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::CiteAtom;
     use citesys_cq::Value;
 
     fn cv(view: &str, params: Vec<i64>) -> CiteExpr {
@@ -268,10 +274,11 @@ mod tests {
     #[test]
     fn empty_answer_defaults() {
         assert_eq!(
-            choose_rewriting(RewritePolicy::MinSize, &[]),
+            choose_rewriting::<CiteAtom>(RewritePolicy::MinSize, &[]),
             RewritingChoice::Index(0)
         );
-        let atoms = atoms_for_tuple(&PolicySet::default(), &[], RewritingChoice::Index(0));
+        let atoms =
+            atoms_for_tuple::<CiteAtom>(&PolicySet::default(), &[], RewritingChoice::Index(0));
         assert!(atoms.is_empty());
     }
 }

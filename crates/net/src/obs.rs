@@ -81,6 +81,9 @@ pub struct StoreObs {
     pub(crate) disconnects_oversized: Arc<Counter>,
     // Slow-cite log.
     pub(crate) slow_cites: Arc<Counter>,
+    // Rewriting tuples the direct answer lacked (left uncited; 0 unless
+    // the engine is wrong).
+    pub(crate) cite_unmatched_tuples: Arc<Counter>,
     // Streaming bulk ingestion.
     pub(crate) ingest_records: Arc<Counter>,
     pub(crate) ingest_batches: Arc<Counter>,
@@ -181,6 +184,10 @@ impl StoreObs {
             slow_cites: r.counter(
                 "citesys_slow_cites_total",
                 "Cites over the --slow-cite-ms threshold",
+            ),
+            cite_unmatched_tuples: r.counter(
+                "citesys_cite_unmatched_tuples_total",
+                "Rewriting tuples absent from the direct answer, left uncited (0 unless the engine is wrong)",
             ),
             ingest_records: r.counter(
                 "citesys_ingest_records_total",

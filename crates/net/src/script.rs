@@ -863,6 +863,9 @@ impl Interpreter {
         // the store lock, so concurrent sessions cite in parallel.
         let (cited, token) = cite_with_service_spanned(&service, version, &spec.query, &mut spans)
             .map_err(|e| cite_err(e.to_string()))?;
+        self.obs
+            .cite_unmatched_tuples
+            .add(cited.unmatched_tuples as u64);
         let render = SpanTimer::start(timed);
         self.report_citation(cited, token, spec.format);
         spans.record_micros("render", render.elapsed_micros());
