@@ -45,9 +45,7 @@ impl Connection {
 
     /// Sends one command line and reads its framed response.
     pub fn send(&mut self, line: &str) -> io::Result<Response> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()?;
+        self.send_nowait(None, line)?;
         protocol::read_response(&mut self.reader)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })
@@ -71,14 +69,14 @@ impl Connection {
     /// frame. Follow with [`Self::read_tagged_response`] calls, one
     /// per queued line, in order.
     pub fn send_nowait(&mut self, tag: Option<&str>, line: &str) -> io::Result<()> {
-        if let Some(t) = tag {
-            self.stream.write_all(b"@")?;
-            self.stream.write_all(t.as_bytes())?;
-            self.stream.write_all(b" ")?;
-        }
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
+        // One write per request line: a server that hangs up on an
+        // oversized line has already answered it, and a second write
+        // racing that close would turn the answer into a reset.
+        let request = match tag {
+            Some(t) => format!("@{t} {line}\n"),
+            None => format!("{line}\n"),
+        };
+        self.stream.write_all(request.as_bytes())
     }
 
     /// Reads one framed response with its echoed tag (`None` for
@@ -113,26 +111,41 @@ impl Connection {
     }
 }
 
-/// Exit code when the failure is I/O or protocol level.
-pub const EXIT_IO: i32 = 1;
-/// Exit code for a script parse error reported by the server.
-pub const EXIT_PARSE: i32 = 3;
-/// Exit code for a citation/runtime error reported by the server.
-pub const EXIT_CITE: i32 = 4;
+/// Why a client script stopped: the server's error kind (`None` for a
+/// connection or framing failure) and the line to report on stderr.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScriptFailure {
+    /// The wire error kind the server answered with; `None` when the
+    /// connection itself failed.
+    pub kind: Option<WireErrorKind>,
+    /// `error: line <n>: <message>` (or `error connecting to …`).
+    pub message: String,
+}
+
+impl ScriptFailure {
+    fn at(line: usize, kind: Option<WireErrorKind>, message: impl std::fmt::Display) -> Self {
+        // Trailing whitespace is not part of the report (a server
+        // message that ended in a newline arrives ending in "; ").
+        let message = format!("error: line {line}: {message}");
+        ScriptFailure {
+            kind,
+            message: message.trim_end().to_string(),
+        }
+    }
+}
+
+fn connect(addr: &str) -> Result<Connection, ScriptFailure> {
+    Connection::connect(addr).map_err(|e| ScriptFailure {
+        kind: None,
+        message: format!("error connecting to {addr}: {e}"),
+    })
+}
 
 /// Streams `script` to the server at `addr` line by line, writing each
-/// response's payload to `out` and the first error to `err`. Stops at
-/// the first error (script semantics) and returns the process exit
-/// code: 0 on success, 3/4 for server-reported parse/citation errors, 1
-/// for I/O and protocol failures.
-pub fn run_script(addr: &str, script: &str, out: &mut impl Write, err: &mut impl Write) -> i32 {
-    let mut conn = match Connection::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            let _ = writeln!(err, "error connecting to {addr}: {e}");
-            return EXIT_IO;
-        }
-    };
+/// response's payload to `out`. Stops at the first error (script
+/// semantics) and returns it.
+pub fn run_script(addr: &str, script: &str, out: &mut impl Write) -> Result<(), ScriptFailure> {
+    let mut conn = connect(addr)?;
     for (i, line) in script.lines().enumerate() {
         match conn.send(line) {
             Ok(Response::Ok(lines)) => {
@@ -141,30 +154,20 @@ pub fn run_script(addr: &str, script: &str, out: &mut impl Write, err: &mut impl
                 }
             }
             Ok(Response::Err { kind, message }) => {
-                let _ = writeln!(err, "error: line {}: {message}", i + 1);
-                return match kind {
-                    WireErrorKind::Parse => EXIT_PARSE,
-                    // A rejected write on a read-only replica is a
-                    // command-level failure, like a citation error.
-                    WireErrorKind::Citation | WireErrorKind::Readonly => EXIT_CITE,
-                    WireErrorKind::Proto => EXIT_IO,
-                };
+                return Err(ScriptFailure::at(i + 1, Some(kind), message))
             }
-            Err(e) => {
-                let _ = writeln!(err, "error: line {}: {e}", i + 1);
-                return EXIT_IO;
-            }
+            Err(e) => return Err(ScriptFailure::at(i + 1, None, e)),
         }
     }
     // Best-effort clean close; the server also handles plain EOF.
     let _ = conn.send("quit");
-    0
+    Ok(())
 }
 
 /// [`run_script`] in **pipelined** mode (`citesys client --pipeline`):
 /// every script line is sent up front, tagged with its line number,
 /// and the responses are read back in one pass — one round trip
-/// instead of one per line. Output and exit codes match [`run_script`]
+/// instead of one per line. Output and errors match [`run_script`]
 /// with one caveat: because the whole script is already on the wire,
 /// lines after a failing one have still executed server-side (the
 /// sync runner stops sending at the first error).
@@ -172,55 +175,40 @@ pub fn run_script_pipelined(
     addr: &str,
     script: &str,
     out: &mut impl Write,
-    err: &mut impl Write,
-) -> i32 {
-    let mut conn = match Connection::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            let _ = writeln!(err, "error connecting to {addr}: {e}");
-            return EXIT_IO;
-        }
-    };
+) -> Result<(), ScriptFailure> {
+    let mut conn = connect(addr)?;
     let lines: Vec<&str> = script.lines().collect();
     for (i, line) in lines.iter().enumerate() {
-        if let Err(e) = conn.send_nowait(Some(&(i + 1).to_string()), line) {
-            let _ = writeln!(err, "error: line {}: {e}", i + 1);
-            return EXIT_IO;
-        }
+        conn.send_nowait(Some(&(i + 1).to_string()), line)
+            .map_err(|e| ScriptFailure::at(i + 1, None, e))?;
     }
     for i in 0..lines.len() {
         match conn.read_tagged_response() {
             Ok(Some((tag, Response::Ok(payload)))) => {
                 if tag.as_deref() != Some((i + 1).to_string().as_str()) {
-                    let _ = writeln!(
-                        err,
-                        "error: line {}: response tag mismatch (got {tag:?})",
-                        i + 1
-                    );
-                    return EXIT_IO;
+                    return Err(ScriptFailure::at(
+                        i + 1,
+                        None,
+                        format_args!("response tag mismatch (got {tag:?})"),
+                    ));
                 }
                 for l in payload {
                     let _ = writeln!(out, "{l}");
                 }
             }
             Ok(Some((_tag, Response::Err { kind, message }))) => {
-                let _ = writeln!(err, "error: line {}: {message}", i + 1);
-                return match kind {
-                    WireErrorKind::Parse => EXIT_PARSE,
-                    WireErrorKind::Citation | WireErrorKind::Readonly => EXIT_CITE,
-                    WireErrorKind::Proto => EXIT_IO,
-                };
+                return Err(ScriptFailure::at(i + 1, Some(kind), message))
             }
             Ok(None) => {
-                let _ = writeln!(err, "error: line {}: server closed the connection", i + 1);
-                return EXIT_IO;
+                return Err(ScriptFailure::at(
+                    i + 1,
+                    None,
+                    "server closed the connection",
+                ))
             }
-            Err(e) => {
-                let _ = writeln!(err, "error: line {}: {e}", i + 1);
-                return EXIT_IO;
-            }
+            Err(e) => return Err(ScriptFailure::at(i + 1, None, e)),
         }
     }
     let _ = conn.send("quit");
-    0
+    Ok(())
 }

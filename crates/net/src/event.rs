@@ -1,11 +1,18 @@
-//! The **event-driven transport**: a readiness-based connection layer
-//! that multiplexes thousands of sockets over a fixed worker set
-//! (`ServerConfig { event_loop: true, .. }`).
+//! The TCP transport: one acceptor thread feeding a fixed set of
+//! **event workers** that multiplex every connection over readiness
+//! pollers.
 //!
-//! Where the blocking transport parks one worker thread per live
-//! session, each event worker here owns a [`polling::Poller`] (the
-//! hermetic epoll shim) and drives every connection assigned to it
-//! through a small per-connection state machine:
+//! The acceptor is the only thread that touches the listener. It turns
+//! connections over `max_connections` away (`err proto server full…`)
+//! and hands every other socket to the worker holding the fewest
+//! connections, through that worker's inbox and a `Poller::notify`.
+//! Least-loaded placement keeps two sessions off one worker while
+//! another worker is emptier, so a long cite on one session does not
+//! stall a fresh session's requests behind it.
+//!
+//! Each worker owns a [`polling::Poller`] (the hermetic epoll shim) and
+//! drives every connection handed to it through a small
+//! per-connection state machine:
 //!
 //! ```text
 //!             readable                    runnable            resolved
@@ -19,14 +26,15 @@
 //! waiting. Responses are queued as ordered *slots* and flush strictly
 //! in request order per connection; an optional `@tag` request prefix
 //! is echoed in the response frame so clients can correlate. A `commit`
-//! never blocks the worker: it becomes a pending [`CommitTicket`] slot,
-//! and because session-local commands (`insert`, `delete`, `begin`,
-//! `rollback`, `load`, another `commit`) keep executing behind an
-//! in-flight commit, a pipelined burst of commits lands on the
+//! never blocks the worker: it becomes a pending [`CommitTicket`] slot
+//! whose ack wakes the worker's poller, and because session-local
+//! commands (`insert`, `delete`, `begin`, `rollback`, `load`, another
+//! `commit`) keep executing behind an in-flight commit, a pipelined
+//! burst of commits lands on the
 //! [`GroupCommitter`](crate::group::GroupCommitter) inside one
 //! coalescing window. Commands that read the shared store wait for the
-//! connection's commit slots to drain first, preserving the blocking
-//! transport's per-session semantics.
+//! connection's commit slots to drain first, so a pipelined session
+//! answers exactly what the same lines sent lock-step would.
 //!
 //! **Fairness & backpressure.** A worker executes at most
 //! `MAX_CMDS_PER_PUMP` commands per connection per wakeup before
@@ -35,10 +43,10 @@
 //! unexecuted commands or `OUT_HIGH_WATER` unflushed response bytes —
 //! the kernel socket buffer then throttles the client end to end.
 //!
-//! **Lifecycle.** Idle sessions are reaped on the same wall-clock
-//! budget as the blocking transport (`err proto idle timeout`); an
-//! oversized line fails *that request* with `err proto` and closes the
-//! connection only after every earlier queued response has flushed; a
+//! **Lifecycle.** Idle sessions are reaped on a wall-clock budget since
+//! their last complete line (`err proto idle timeout`); an oversized
+//! line fails *that request* with `err proto` and closes the connection
+//! only after every earlier queued response has flushed; a
 //! `replica hello` line hands the socket to a dedicated feed thread
 //! (replication keeps its one-thread-per-follower model); shutdown
 //! notifies every connection and drains write buffers before closing.
@@ -54,22 +62,20 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use polling::{Event, Poller};
 
-use crate::group::{CommitTicket, GroupCommitHandle};
+use crate::group::{CommitTicket, GroupCommitHandle, Waker};
 use crate::protocol::{self, Command, LineRead, LineReader, Response, WireErrorKind};
-use crate::script::{commit_ack_message, Interpreter, SessionControl, SharedStore};
-use crate::server::wire_kind;
+use crate::script::{
+    commit_ack_message, Interpreter, ScriptErrorKind, SessionControl, SharedStore,
+};
 
-/// Poller key reserved for the shared listener; connection keys start
-/// above it.
+/// The acceptor's poller key for the listener (the only source it
+/// watches).
 const LISTENER_KEY: usize = 0;
 
-/// Poll timeout with nothing in flight — bounds how fast a worker
-/// notices shutdown or an exhausted idle budget.
+/// Poll timeout with nothing runnable — bounds how fast a thread
+/// notices shutdown or an exhausted idle budget. Handed-over sockets
+/// and commit acks wake a worker's poller themselves.
 const POLL_TICK: Duration = Duration::from_millis(50);
-
-/// Poll timeout while any commit ticket is outstanding: acks arrive on
-/// an mpsc channel, not the poller, so the worker re-checks quickly.
-const COMMIT_TICK: Duration = Duration::from_millis(1);
 
 /// Fairness cap: commands executed per connection per wakeup before
 /// other ready connections get the worker.
@@ -87,7 +93,7 @@ const OUT_HIGH_WATER: usize = 256 * 1024;
 /// closing connections regardless.
 const SHUTDOWN_DRAIN: Duration = Duration::from_secs(1);
 
-/// Everything the event workers share.
+/// Everything the acceptor and the event workers share.
 pub(crate) struct EventCtx {
     pub(crate) shared: Arc<Mutex<SharedStore>>,
     pub(crate) committer: GroupCommitHandle,
@@ -95,9 +101,6 @@ pub(crate) struct EventCtx {
     pub(crate) idle_timeout: Duration,
     pub(crate) max_line_bytes: usize,
     pub(crate) max_connections: usize,
-    /// Connections currently held across all workers (the
-    /// `Server::open_connections` figure; leak checks poll it to zero).
-    pub(crate) open_conns: Arc<AtomicUsize>,
     /// Replication feed threads spawned off handed-over connections,
     /// joined at server teardown.
     pub(crate) feed_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -106,28 +109,75 @@ pub(crate) struct EventCtx {
     pub(crate) obs: crate::obs::StoreObs,
 }
 
-/// Spawns `workers` event workers over the shared listener. Fails fast
-/// (before any thread starts) if the platform has no poller backend.
-pub(crate) fn spawn_workers(
-    listener: Arc<TcpListener>,
-    workers: usize,
-    ctx: EventCtx,
-) -> io::Result<Vec<JoinHandle<()>>> {
-    let pollers: Vec<Poller> = (0..workers.max(1))
-        .map(|_| Poller::new())
+/// One event worker as the acceptor and the committer see it.
+pub(crate) struct Worker {
+    /// Its readiness poller; `notify` wakes the worker.
+    poller: Poller,
+    /// Sockets the acceptor handed over, not yet registered.
+    inbox: Mutex<Vec<TcpStream>>,
+    /// Connections the worker holds, inbox included (replication feeds
+    /// leave the count when they are handed off).
+    held: AtomicUsize,
+}
+
+/// The running transport: its threads and the workers' loads.
+pub(crate) struct Transport {
+    threads: Vec<JoinHandle<()>>,
+    workers: Vec<Arc<Worker>>,
+}
+
+impl Transport {
+    /// Connections held across all workers (leak checks poll it to
+    /// zero).
+    pub(crate) fn open_connections(&self) -> usize {
+        self.workers
+            .iter()
+            .map(|w| w.held.load(Ordering::SeqCst))
+            .sum()
+    }
+
+    /// Joins the acceptor and every worker; they return once the
+    /// shutdown flag is set.
+    pub(crate) fn join(&mut self) {
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Starts `workers` event workers and the acceptor over `listener`.
+/// Fails fast (before any thread starts) if the platform has no poller
+/// backend.
+pub(crate) fn spawn(listener: TcpListener, workers: usize, ctx: EventCtx) -> io::Result<Transport> {
+    let accept_poller = Poller::new()?;
+    accept_poller.add(&listener, Event::readable(LISTENER_KEY))?;
+    let workers: Vec<Arc<Worker>> = (0..workers.max(1))
+        .map(|_| {
+            Ok(Arc::new(Worker {
+                poller: Poller::new()?,
+                inbox: Mutex::new(Vec::new()),
+                held: AtomicUsize::new(0),
+            }))
+        })
         .collect::<io::Result<_>>()?;
     let ctx = Arc::new(ctx);
-    pollers
-        .into_iter()
-        .enumerate()
-        .map(|(i, poller)| {
-            let listener = Arc::clone(&listener);
-            let ctx = Arc::clone(&ctx);
+    let mut threads = Vec::with_capacity(workers.len() + 1);
+    for (i, worker) in workers.iter().enumerate() {
+        let worker = Arc::clone(worker);
+        let ctx = Arc::clone(&ctx);
+        threads.push(
             std::thread::Builder::new()
                 .name(format!("citesys-net-event-{i}"))
-                .spawn(move || worker_loop(poller, listener, ctx))
-        })
-        .collect()
+                .spawn(move || worker_loop(worker, &ctx))?,
+        );
+    }
+    let targets = workers.clone();
+    threads.push(
+        std::thread::Builder::new()
+            .name("citesys-net-accept".into())
+            .spawn(move || acceptor_loop(&accept_poller, &listener, &targets, &ctx))?,
+    );
+    Ok(Transport { threads, workers })
 }
 
 /// One parsed-but-unexecuted request line.
@@ -212,6 +262,20 @@ impl Conn {
     fn has_work(&self) -> bool {
         !self.pending.is_empty() || !self.slots.is_empty() || self.replica_hello.is_some()
     }
+
+    /// Whether the next queued command may execute now: a command that
+    /// reads the shared store waits for this connection's in-flight
+    /// commits to ack.
+    fn runnable(&self) -> bool {
+        match self.pending.front() {
+            None => false,
+            Some(PendingItem::Cmd { cmd: Some(c), .. }) => {
+                safe_during_commit(c)
+                    || !self.slots.iter().any(|s| matches!(s, Slot::Commit { .. }))
+            }
+            Some(_) => true,
+        }
+    }
 }
 
 /// What the worker should do with a connection after a pump pass.
@@ -221,40 +285,68 @@ enum Outcome {
     Replica(String),
 }
 
-fn worker_loop(poller: Poller, listener: Arc<TcpListener>, ctx: Arc<EventCtx>) {
-    if poller
-        .add(&*listener, Event::readable(LISTENER_KEY))
-        .is_err()
-    {
+/// The acceptor: the only thread that touches the listener.
+fn acceptor_loop(poller: &Poller, listener: &TcpListener, workers: &[Arc<Worker>], ctx: &EventCtx) {
+    let mut events = Vec::new();
+    while !ctx.shutdown.load(Ordering::SeqCst) {
+        let _ = poller.wait(&mut events, Some(POLL_TICK));
+        while let Ok((stream, _peer)) = listener.accept() {
+            admit(ctx, workers, stream);
+        }
+    }
+}
+
+/// Turns `stream` away when the server is full; otherwise hands it to
+/// the worker holding the fewest connections and wakes that worker.
+fn admit(ctx: &EventCtx, workers: &[Arc<Worker>], mut stream: TcpStream) {
+    let held: usize = workers.iter().map(|w| w.held.load(Ordering::SeqCst)).sum();
+    if held >= ctx.max_connections {
+        // Rejected connections still get the banner + a proto error, so
+        // clients see *why* (the accepted socket is still blocking;
+        // these writes are tiny).
+        let _ = writeln!(stream, "{}", protocol::BANNER);
+        let _ = protocol::write_response(
+            &mut stream,
+            &Response::Err {
+                kind: WireErrorKind::Proto,
+                message: format!("server full: {} connections held", ctx.max_connections),
+            },
+        );
         return;
     }
+    let worker = workers
+        .iter()
+        .min_by_key(|w| w.held.load(Ordering::SeqCst))
+        .expect("spawn starts at least one worker");
+    worker.held.fetch_add(1, Ordering::SeqCst);
+    worker.inbox.lock().push(stream);
+    let _ = worker.poller.notify();
+}
+
+fn worker_loop(worker: Arc<Worker>, ctx: &EventCtx) {
+    let wake: Waker = {
+        let worker = Arc::clone(&worker);
+        Arc::new(move || {
+            let _ = worker.poller.notify();
+        })
+    };
     let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut next_key: usize = LISTENER_KEY + 1;
+    let mut next_key: usize = 0;
     let mut events: Vec<Event> = Vec::new();
     loop {
         if ctx.shutdown.load(Ordering::SeqCst) {
-            drain_on_shutdown(&ctx, &poller, &mut conns);
+            drain_on_shutdown(&worker, &mut conns);
             return;
         }
-        let _ = poller.wait(&mut events, Some(poll_timeout(&conns)));
-        let mut pump_set: BTreeSet<usize> = BTreeSet::new();
-        let mut accept = false;
-        for ev in &events {
-            if ev.key == LISTENER_KEY {
-                accept = true;
-            } else {
-                pump_set.insert(ev.key);
+        let _ = worker.poller.wait(&mut events, Some(poll_timeout(&conns)));
+        let mut pump_set: BTreeSet<usize> = events.iter().map(|ev| ev.key).collect();
+        let handed = std::mem::take(&mut *worker.inbox.lock());
+        for stream in handed {
+            if let Some(conn) = register(ctx, &worker, stream, next_key) {
+                conns.insert(next_key, conn);
+                pump_set.insert(next_key);
+                next_key += 1;
             }
-        }
-        if accept {
-            accept_new(
-                &ctx,
-                &poller,
-                &listener,
-                &mut conns,
-                &mut next_key,
-                &mut pump_set,
-            );
         }
         let now = Instant::now();
         for (key, conn) in conns.iter_mut() {
@@ -275,106 +367,57 @@ fn worker_loop(poller: Poller, listener: Arc<TcpListener>, ctx: Arc<EventCtx>) {
             let Some(conn) = conns.get_mut(&key) else {
                 continue;
             };
-            match pump(&ctx, conn) {
-                Outcome::Keep => update_interest(&poller, key, conn),
+            match pump(ctx, &wake, conn) {
+                Outcome::Keep => update_interest(&worker.poller, key, conn),
                 Outcome::Close => {
                     let conn = conns.remove(&key).expect("pumped conn exists");
-                    close_conn(&ctx, &poller, &conn);
+                    close_conn(&worker, &conn);
                 }
                 Outcome::Replica(hello) => {
                     let conn = conns.remove(&key).expect("pumped conn exists");
-                    hand_to_feed(&ctx, &poller, conn, hello);
+                    hand_to_feed(ctx, &worker, conn, hello);
                 }
             }
         }
     }
 }
 
-/// Next poll timeout, from the most urgent latent work across the
-/// worker's connections.
+/// Next poll timeout: zero while a connection has a runnable command
+/// queued (the fairness cap left it), else the tick.
 fn poll_timeout(conns: &HashMap<usize, Conn>) -> Duration {
-    let mut timeout = POLL_TICK;
-    for conn in conns.values() {
-        if !conn.pending.is_empty() && conn.slots.is_empty() {
-            // Runnable commands queued (fairness cap round-robin):
-            // come straight back.
-            return Duration::ZERO;
-        }
-        if !conn.slots.is_empty() {
-            timeout = COMMIT_TICK;
-        }
+    if conns.values().any(Conn::runnable) {
+        Duration::ZERO
+    } else {
+        POLL_TICK
     }
-    timeout
 }
 
-fn accept_new(
-    ctx: &EventCtx,
-    poller: &Poller,
-    listener: &TcpListener,
-    conns: &mut HashMap<usize, Conn>,
-    next_key: &mut usize,
-    pump_set: &mut BTreeSet<usize>,
-) {
-    loop {
-        // Every worker polls the same listener; a race lost to another
-        // worker is just WouldBlock here.
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if ctx.shutdown.load(Ordering::SeqCst) {
-                    continue;
-                }
-                let held = ctx.open_conns.fetch_add(1, Ordering::SeqCst);
-                if held >= ctx.max_connections {
-                    ctx.open_conns.fetch_sub(1, Ordering::SeqCst);
-                    // Rejected connections still get the banner + a
-                    // proto error, so clients see *why* (the accepted
-                    // socket is still blocking; these writes are tiny).
-                    let mut stream = stream;
-                    let _ = writeln!(stream, "{}", protocol::BANNER);
-                    let _ = protocol::write_response(
-                        &mut stream,
-                        &Response::Err {
-                            kind: WireErrorKind::Proto,
-                            message: format!(
-                                "server full: {} connections held",
-                                ctx.max_connections
-                            ),
-                        },
-                    );
-                    continue;
-                }
-                let registered = stream.set_nonblocking(true).is_ok();
-                stream.set_nodelay(true).ok();
-                let reader_stream = match (registered, stream.try_clone()) {
-                    (true, Ok(s)) => s,
-                    _ => {
-                        ctx.open_conns.fetch_sub(1, Ordering::SeqCst);
-                        continue;
-                    }
-                };
-                let key = *next_key;
-                *next_key += 1;
-                if poller.add(&stream, Event::readable(key)).is_err() {
-                    ctx.open_conns.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-                let mut conn = Conn::new(ctx, stream, reader_stream);
-                conn.out
-                    .extend_from_slice(format!("{}\n", protocol::BANNER).as_bytes());
-                conns.insert(key, conn);
-                pump_set.insert(key);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(_) => break,
+/// Registers a handed-over socket with the worker's poller and queues
+/// the banner; an unusable socket is dropped and its slot released.
+fn register(ctx: &EventCtx, worker: &Worker, stream: TcpStream, key: usize) -> Option<Conn> {
+    stream.set_nodelay(true).ok();
+    match stream
+        .set_nonblocking(true)
+        .and_then(|()| stream.try_clone())
+    {
+        Ok(reader) if worker.poller.add(&stream, Event::readable(key)).is_ok() => {
+            let mut conn = Conn::new(ctx, stream, reader);
+            conn.out
+                .extend_from_slice(format!("{}\n", protocol::BANNER).as_bytes());
+            Some(conn)
+        }
+        _ => {
+            worker.held.fetch_sub(1, Ordering::SeqCst);
+            None
         }
     }
 }
 
 /// One full turn of a connection's state machine: read → execute →
 /// render → flush → decide.
-fn pump(ctx: &EventCtx, conn: &mut Conn) -> Outcome {
+fn pump(ctx: &EventCtx, wake: &Waker, conn: &mut Conn) -> Outcome {
     read_lines(ctx, conn);
-    exec_pending(ctx, conn);
+    exec_pending(ctx, wake, conn);
     fill_out(conn);
     if flush(conn).is_err() || conn.abort {
         return Outcome::Close;
@@ -450,9 +493,9 @@ fn read_lines(ctx: &EventCtx, conn: &mut Conn) {
 
 /// Commands that keep executing while this connection has a commit in
 /// flight: they touch only session-local state (or submit another
-/// commit), so running them early is indistinguishable from the
-/// blocking transport's strict sequencing — and it is exactly what
-/// lets a pipelined commit burst coalesce into one window.
+/// commit), so running them early is indistinguishable from strict
+/// lock-step sequencing — and it is exactly what lets a pipelined
+/// commit burst coalesce into one window.
 fn safe_during_commit(cmd: &Command) -> bool {
     matches!(
         cmd,
@@ -467,19 +510,9 @@ fn safe_during_commit(cmd: &Command) -> bool {
 
 /// Executes queued commands in order, up to the fairness cap, stalling
 /// when the next command must observe an in-flight commit's outcome.
-fn exec_pending(ctx: &EventCtx, conn: &mut Conn) {
+fn exec_pending(ctx: &EventCtx, wake: &Waker, conn: &mut Conn) {
     let mut budget = MAX_CMDS_PER_PUMP;
-    while budget > 0 && !conn.closing {
-        let commit_in_flight = conn.slots.iter().any(|s| matches!(s, Slot::Commit { .. }));
-        match conn.pending.front() {
-            None => break,
-            Some(PendingItem::Cmd { cmd: Some(c), .. })
-                if commit_in_flight && !safe_during_commit(c) =>
-            {
-                break;
-            }
-            Some(_) => {}
-        }
+    while budget > 0 && !conn.closing && conn.runnable() {
         budget -= 1;
         match conn.pending.pop_front().expect("checked front") {
             PendingItem::ParseErr { tag, message } => {
@@ -497,13 +530,13 @@ fn exec_pending(ctx: &EventCtx, conn: &mut Conn) {
             }
             PendingItem::Cmd { tag, cmd } => {
                 if matches!(cmd, Some(Command::Commit)) {
-                    // Asynchronous commit: same admission checks as the
-                    // blocking path, but the ack becomes an ordered slot
-                    // instead of parking the worker.
+                    // Asynchronous commit: the interpreter's admission
+                    // checks, but the ack becomes an ordered slot (and a
+                    // wakeup) instead of parking the worker.
                     match conn.interp.take_commit_changes() {
                         Ok(changes) => conn.slots.push_back(Slot::Commit {
                             tag,
-                            ticket: ctx.committer.submit(changes),
+                            ticket: ctx.committer.submit(changes, Some(Arc::clone(wake))),
                         }),
                         Err(e) => push_err(conn, tag.as_deref(), wire_kind(e.kind), &e.message),
                     }
@@ -538,8 +571,8 @@ fn exec_pending(ctx: &EventCtx, conn: &mut Conn) {
 }
 
 /// `quit`/`shutdown`: the farewell is the session's last frame — stop
-/// reading and drop anything the client pipelined after it (the
-/// blocking transport never reads those lines either).
+/// reading and drop anything the client pipelined after it (a
+/// lock-step client would never have sent those lines).
 fn farewell(conn: &mut Conn) {
     conn.closing = true;
     conn.read_done = true;
@@ -625,17 +658,16 @@ fn update_interest(poller: &Poller, key: usize, conn: &mut Conn) {
     }
 }
 
-fn close_conn(ctx: &EventCtx, poller: &Poller, conn: &Conn) {
-    let _ = poller.delete(&conn.stream);
-    ctx.open_conns.fetch_sub(1, Ordering::SeqCst);
+fn close_conn(worker: &Worker, conn: &Conn) {
+    let _ = worker.poller.delete(&conn.stream);
+    worker.held.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Switches a drained connection into the replication sub-protocol on
 /// its own thread (feeds are long-lived writers; multiplexing them
 /// through the poller would buy nothing).
-fn hand_to_feed(ctx: &EventCtx, poller: &Poller, conn: Conn, hello: String) {
-    let _ = poller.delete(&conn.stream);
-    ctx.open_conns.fetch_sub(1, Ordering::SeqCst);
+fn hand_to_feed(ctx: &EventCtx, worker: &Worker, conn: Conn, hello: String) {
+    close_conn(worker, &conn);
     let Conn { stream, .. } = conn;
     if stream.set_nonblocking(false).is_err() {
         return;
@@ -655,7 +687,7 @@ fn hand_to_feed(ctx: &EventCtx, poller: &Poller, conn: Conn, hello: String) {
 /// Shutdown: notify every live session, give buffered responses (and
 /// in-flight commit acks — the committer outlives the workers) a
 /// bounded drain, then close everything.
-fn drain_on_shutdown(ctx: &EventCtx, poller: &Poller, conns: &mut HashMap<usize, Conn>) {
+fn drain_on_shutdown(worker: &Worker, conns: &mut HashMap<usize, Conn>) {
     for conn in conns.values_mut() {
         if !conn.closing {
             push_err(conn, None, WireErrorKind::Proto, "server shutting down");
@@ -675,7 +707,7 @@ fn drain_on_shutdown(ctx: &EventCtx, poller: &Poller, conns: &mut HashMap<usize,
             let dead = flush(conn).is_err();
             if dead || (conn.slots.is_empty() && conn.out_drained()) {
                 let conn = conns.remove(&key).expect("listed key exists");
-                close_conn(ctx, poller, &conn);
+                close_conn(worker, &conn);
                 progressed = true;
             }
         }
@@ -684,6 +716,14 @@ fn drain_on_shutdown(ctx: &EventCtx, poller: &Poller, conns: &mut HashMap<usize,
         }
     }
     for (_, conn) in conns.drain() {
-        close_conn(ctx, poller, &conn);
+        close_conn(worker, &conn);
+    }
+}
+
+fn wire_kind(kind: ScriptErrorKind) -> WireErrorKind {
+    match kind {
+        ScriptErrorKind::Parse => WireErrorKind::Parse,
+        ScriptErrorKind::Citation => WireErrorKind::Citation,
+        ScriptErrorKind::Readonly => WireErrorKind::Readonly,
     }
 }

@@ -38,9 +38,15 @@ pub struct CommitAck {
     pub group_size: usize,
 }
 
+/// Called by the committer right after it sends a ticket's ack, so a
+/// submitter that multiplexes other work (an event worker) can sleep
+/// until then instead of polling [`CommitTicket::try_ack`].
+pub type Waker = Arc<dyn Fn() + Send + Sync>;
+
 struct CommitRequest {
     changes: Changeset,
     reply: mpsc::Sender<Result<CommitAck, String>>,
+    wake: Option<Waker>,
 }
 
 enum Msg {
@@ -58,19 +64,24 @@ impl GroupCommitHandle {
     /// Submits one transaction and blocks until the committer has sealed
     /// (or rejected) it. `Err` carries the conflict message.
     pub fn commit(&self, changes: Changeset) -> Result<CommitAck, String> {
-        self.submit(changes).wait()
+        self.submit(changes, None).wait()
     }
 
     /// Submits one transaction **without blocking** and returns a
-    /// ticket to poll for the acknowledgement. This is how the
-    /// event-driven transport keeps a worker serving other connections
-    /// while a pipelined commit burst rides one coalescing window; the
-    /// blocking [`commit`](Self::commit) is `submit(..).wait()`.
-    pub fn submit(&self, changes: Changeset) -> CommitTicket {
+    /// ticket for the acknowledgement; `wake` runs once the ack is
+    /// sent. This is how an event worker keeps serving other
+    /// connections while a pipelined commit burst rides one coalescing
+    /// window; the blocking [`commit`](Self::commit) is
+    /// `submit(.., None).wait()`.
+    pub fn submit(&self, changes: Changeset, wake: Option<Waker>) -> CommitTicket {
         let (reply, rx) = mpsc::channel();
         // A failed send drops `reply`, so the ticket's receiver reports
         // disconnection — the "pipeline closed" path, no special case.
-        let _ = self.tx.send(Msg::Commit(CommitRequest { changes, reply }));
+        let _ = self.tx.send(Msg::Commit(CommitRequest {
+            changes,
+            reply,
+            wake,
+        }));
         CommitTicket { rx }
     }
 }
@@ -193,8 +204,8 @@ impl GroupCommitter {
             match sh.seal() {
                 Ok(v) => Some(v),
                 Err((_, m)) => {
-                    for req in &batch {
-                        let _ = req.reply.send(Err(m.clone()));
+                    for req in batch {
+                        req.ack(Err(m.clone()));
                     }
                     return;
                 }
@@ -218,12 +229,22 @@ impl GroupCommitter {
                 (Ok(_), None) => unreachable!("a success forces a seal"),
                 (Err(message), _) => Err(message),
             };
-            // A session that died while waiting just drops its receiver;
-            // its transaction still committed with the window.
-            let _ = req.reply.send(reply);
+            req.ack(reply);
         }
         obs.group_window_seconds
             .observe_micros(window.elapsed_micros());
+    }
+}
+
+impl CommitRequest {
+    /// Sends the ack, then wakes the submitter. A session that died
+    /// while waiting just dropped its receiver; its transaction still
+    /// committed with the window.
+    fn ack(self, reply: Result<CommitAck, String>) {
+        let _ = self.reply.send(reply);
+        if let Some(wake) = self.wake {
+            wake();
+        }
     }
 }
 
@@ -329,7 +350,7 @@ mod tests {
             .map(|i| {
                 let mut changes = Changeset::new();
                 changes.insert("R", citesys_storage::tuple![i as i64, "t"]);
-                handle.submit(changes)
+                handle.submit(changes, None)
             })
             .collect();
         let acks: Vec<CommitAck> = tickets.iter().map(|t| t.wait().unwrap()).collect();
@@ -341,11 +362,31 @@ mod tests {
         // try_ack on a consumed ticket reports the closed channel
         // rather than blocking or panicking.
         drop(committer);
-        let orphan = handle.submit(Changeset::new());
+        let orphan = handle.submit(Changeset::new(), None);
         assert_eq!(
             orphan.try_ack(),
             Some(Err("commit pipeline closed".to_string()))
         );
+    }
+
+    #[test]
+    fn ack_wakes_the_submitter_after_it_is_sent() {
+        let shared = SharedStore::new_shared();
+        setup(&shared);
+        let committer = GroupCommitter::spawn(Arc::clone(&shared), Duration::ZERO);
+        let (woke, wakes) = mpsc::channel();
+        let wake: Waker = Arc::new(move || {
+            let _ = woke.send(());
+        });
+        let mut changes = Changeset::new();
+        changes.insert("R", citesys_storage::tuple![7, "w"]);
+        let ticket = committer.handle().submit(changes, Some(wake));
+        wakes
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the committer wakes the submitter");
+        // The wakeup comes after the send: the ack is already there.
+        let ack = ticket.try_ack().expect("ack before wake").unwrap();
+        assert_eq!(ack.applied, 1);
     }
 
     #[test]

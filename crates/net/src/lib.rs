@@ -9,8 +9,8 @@
 //! | [`protocol`] | the shared command grammar ([`protocol::Command`]) + wire framing — one parser for the script runner, the stdin REPL and the TCP server, so the surfaces cannot drift |
 //! | [`script`] | the stateful [`Interpreter`]: per-session state over a shareable [`SharedStore`] — a [`citesys_core::Store`] (versioned database, registry, plan caches, cached service, `--data-dir` durability: the one write path) plus the instruments and replication telemetry |
 //! | [`group`] | cross-connection **group commit**: racing transactions coalesce into one merged changeset and one snapshot swap per commit window |
-//! | [`server`] | the TCP [`Server`]: bounded worker pool, per-connection sessions, idle timeouts, graceful shutdown |
-//! | [`event`] | the **event-driven transport** (`ServerConfig { event_loop: true, .. }`): a fixed worker set multiplexes thousands of non-blocking sockets over the hermetic epoll shim, with wire pipelining and `@tag` request tags |
+//! | [`server`] | the TCP [`Server`]: configuration, startup (recovery, committer, follower, metrics endpoint) and graceful shutdown |
+//! | [`event`] | the one **transport**: an acceptor hands each connection to the least-loaded of a fixed set of event workers, which multiplex non-blocking sockets over the hermetic epoll shim, with per-connection sessions, idle timeouts, wire pipelining and `@tag` request tags |
 //! | [`client`] | [`Connection`] + the `citesys client` script runner (sync and pipelined) |
 //! | [`replication`] | WAL-shipping read replicas: primary-side feeds plus the `serve --follow` follower runtime, with bounded-lag accounting |
 //! | [`obs`] | observability: the registry-backed [`obs::StoreObs`] instrument bundle (commit/replication counters, per-stage cite histograms, durability timings), the `serve --metrics` scrape responder, and the `--slow-cite-ms` log line |

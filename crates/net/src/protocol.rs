@@ -825,9 +825,10 @@ pub enum LineRead {
 ///
 /// Unlike `BufRead::read_line` it (a) enforces a byte cap so a
 /// malicious or broken client cannot make the server buffer without
-/// bound, and (b) keeps partial-line state **across calls**, so a read
-/// timeout mid-line (the server's idle tick) or a line split across TCP
-/// segments resumes exactly where it left off.
+/// bound, and (b) keeps partial-line state **across calls**, so a
+/// would-block or timeout mid-line (a nonblocking server socket, a
+/// follower's read deadline) or a line split across TCP segments
+/// resumes exactly where it left off.
 #[derive(Debug)]
 pub struct LineReader<R> {
     inner: R,

@@ -433,9 +433,9 @@ pub struct SessionReply {
 }
 
 /// The canonical `commit` acknowledgement line for an isolated session.
-/// Both commit paths — the blocking transport's `cmd_commit` and the
-/// event-driven transport's deferred ack — build their output here, so
-/// the two transports stay byte-identical on the wire.
+/// Both commit paths — an in-process session's `cmd_commit` and the
+/// network transport's deferred ack — build their output here, so the
+/// two stay byte-identical.
 pub fn commit_ack_message(ack: &CommitAck) -> String {
     format!(
         "committed version {} ({} op(s), group of {})",

@@ -3,14 +3,15 @@
 //!
 //! Architecture (see ARCHITECTURE.md §"Network front end"):
 //!
-//! * a **bounded worker pool** — `workers` threads each accept and serve
-//!   one connection at a time on a shared non-blocking listener, so at
-//!   most `workers` sessions run concurrently and extra connections wait
-//!   in the OS accept backlog (no unbounded thread spawning);
+//! * **one transport** ([`crate::event`]) — an acceptor thread owns the
+//!   listener and hands each connection to the least-loaded of
+//!   `workers` event workers, which multiplex their connections over
+//!   readiness pollers (pipelining, `@tag` request tags);
 //! * **per-connection sessions** — each connection gets an isolated
-//!   [`Interpreter::session`] over the one shared store: mutations buffer
-//!   in the session, cites run on lock-free service clones, and a
-//!   dropped connection discards its open transaction;
+//!   [`Interpreter::session`](crate::script::Interpreter::session) over
+//!   the one shared store: mutations buffer in the session, cites run
+//!   on lock-free service clones, and a dropped connection discards its
+//!   open transaction;
 //! * the **group committer** — every session `commit` goes through one
 //!   [`GroupCommitter`] thread that coalesces racing transactions into
 //!   one merged changeset and one snapshot swap per commit window;
@@ -21,28 +22,29 @@
 //!
 //! Sessions end on `quit`, EOF, an idle timeout, an oversized line, or
 //! server shutdown; the `shutdown` command stops the whole server
-//! gracefully (workers finish their current command, the committer
-//! drains).
+//! gracefully (queued responses flush, the committer drains).
 
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::group::{GroupCommitHandle, GroupCommitter};
-use crate::protocol::{self, LineRead, LineReader, Response, WireErrorKind};
-use crate::script::{Interpreter, ScriptErrorKind, SessionControl, SharedStore};
+use crate::event::{EventCtx, Transport};
+use crate::group::GroupCommitter;
+use crate::protocol;
+use crate::script::SharedStore;
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
-    /// Worker threads = maximum concurrent sessions.
+    /// Event-worker threads; each multiplexes the connections the
+    /// acceptor hands it.
     pub workers: usize,
     /// Close a session after this much input silence.
     pub idle_timeout: Duration,
@@ -63,15 +65,8 @@ pub struct ServerConfig {
     /// restart resumes from the local version instead of
     /// re-bootstrapping.
     pub follow: Option<String>,
-    /// Use the event-driven transport (`crate::event`): `workers`
-    /// becomes a fixed set of readiness-loop threads multiplexing every
-    /// connection instead of a one-session-per-thread pool, and the
-    /// wire grows pipelining with optional `@tag` request tags. Linux
-    /// only (the poller shim's sole backend).
-    pub event_loop: bool,
-    /// Connection cap for the event-driven transport; connections over
-    /// it are turned away with `err proto server full…`. Ignored by the
-    /// blocking transport (its cap is `workers`).
+    /// Connection cap; connections over it are turned away with
+    /// `err proto server full…`.
     pub max_connections: usize,
     /// Auto-checkpoint after this many WAL records (`serve
     /// --checkpoint-every <n>`). Requires `data_dir`; `None` disables.
@@ -101,7 +96,6 @@ impl Default for ServerConfig {
             data_dir: None,
             max_line_bytes: protocol::MAX_LINE_BYTES,
             follow: None,
-            event_loop: false,
             max_connections: 8192,
             checkpoint_every: None,
             retain_checkpoints: 0,
@@ -111,20 +105,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// How often a blocked read wakes up to check idle budget and the
-/// shutdown flag.
-const READ_TICK: Duration = Duration::from_millis(50);
-
 /// A running server. Dropping it (or calling [`stop`](Server::stop))
 /// shuts it down and joins every thread.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Mutex<SharedStore>>,
     shutdown: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<()>>,
+    transport: Transport,
     committer: Option<GroupCommitter>,
     follower: Option<JoinHandle<()>>,
-    open_conns: Arc<AtomicUsize>,
     feed_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     metrics_addr: Option<SocketAddr>,
     metrics_thread: Option<JoinHandle<()>>,
@@ -132,7 +121,7 @@ pub struct Server {
 
 impl Server {
     /// Binds and starts serving in background threads; returns
-    /// immediately.
+    /// immediately. Linux only (the poller shim's sole backend).
     pub fn spawn(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -182,62 +171,36 @@ impl Server {
             }
             None => None,
         };
-        let obs = shared.lock().obs().clone();
-        let listener = Arc::new(listener);
-        let open_conns = Arc::new(AtomicUsize::new(0));
         let feed_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let workers = if config.event_loop {
-            let ctx = crate::event::EventCtx {
-                shared: Arc::clone(&shared),
-                committer: committer.handle(),
-                shutdown: Arc::clone(&shutdown),
-                idle_timeout: config.idle_timeout,
-                max_line_bytes: config.max_line_bytes,
-                max_connections: config.max_connections.max(1),
-                open_conns: Arc::clone(&open_conns),
-                feed_threads: Arc::clone(&feed_threads),
-                obs: obs.clone(),
-            };
-            match crate::event::spawn_workers(Arc::clone(&listener), config.workers.max(1), ctx) {
-                Ok(workers) => workers,
-                Err(e) => {
-                    // Unwind the threads already running (no poller
-                    // backend on this platform, most likely).
-                    shutdown.store(true, Ordering::SeqCst);
-                    if let Some(f) = follower {
-                        let _ = f.join();
-                    }
-                    return Err(e);
+        let ctx = EventCtx {
+            shared: Arc::clone(&shared),
+            committer: committer.handle(),
+            shutdown: Arc::clone(&shutdown),
+            idle_timeout: config.idle_timeout,
+            max_line_bytes: config.max_line_bytes,
+            max_connections: config.max_connections.max(1),
+            feed_threads: Arc::clone(&feed_threads),
+            obs: shared.lock().obs().clone(),
+        };
+        let transport = match crate::event::spawn(listener, config.workers, ctx) {
+            Ok(transport) => transport,
+            Err(e) => {
+                // Unwind the threads already running (no poller backend
+                // on this platform, most likely).
+                shutdown.store(true, Ordering::SeqCst);
+                for t in follower.into_iter().chain(metrics_thread) {
+                    let _ = t.join();
                 }
+                return Err(e);
             }
-        } else {
-            (0..config.workers.max(1))
-                .map(|i| {
-                    let ctx = WorkerCtx {
-                        listener: Arc::clone(&listener),
-                        shared: Arc::clone(&shared),
-                        committer: committer.handle(),
-                        shutdown: Arc::clone(&shutdown),
-                        idle_timeout: config.idle_timeout,
-                        max_line_bytes: config.max_line_bytes,
-                        open_conns: Arc::clone(&open_conns),
-                        obs: obs.clone(),
-                    };
-                    std::thread::Builder::new()
-                        .name(format!("citesys-net-worker-{i}"))
-                        .spawn(move || worker_loop(ctx))
-                        .expect("spawn worker")
-                })
-                .collect()
         };
         Ok(Server {
             addr,
             shared,
             shutdown,
-            workers,
+            transport,
             committer: Some(committer),
             follower,
-            open_conns,
             feed_threads,
             metrics_addr,
             metrics_thread,
@@ -259,11 +222,11 @@ impl Server {
         &self.shared
     }
 
-    /// Connections currently held open by the transport (sessions on
-    /// either transport; replication feeds are counted separately).
-    /// Leak tests poll this back to zero after disconnects.
+    /// Connections currently held open by the transport (replication
+    /// feeds are counted separately). Leak tests poll this back to zero
+    /// after disconnects.
     pub fn open_connections(&self) -> usize {
-        self.open_conns.load(Ordering::SeqCst)
+        self.transport.open_connections()
     }
 
     /// True once a `shutdown` command (or [`stop`](Self::stop)) was
@@ -274,9 +237,6 @@ impl Server {
 
     /// Blocks until a client issues `shutdown`, then tears down.
     pub fn wait(mut self) {
-        while !self.is_shutdown() {
-            std::thread::sleep(READ_TICK);
-        }
         self.teardown();
     }
 
@@ -286,11 +246,10 @@ impl Server {
         self.teardown();
     }
 
+    /// Joins every thread: the transport's return once the shutdown
+    /// flag is set, and the rest follow it.
     fn teardown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.transport.join();
         for f in self.feed_threads.lock().drain(..) {
             let _ = f.join();
         }
@@ -307,164 +266,9 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if !self.workers.is_empty() || self.committer.is_some() {
+        if self.committer.is_some() {
+            self.shutdown.store(true, Ordering::SeqCst);
             self.teardown();
-        }
-    }
-}
-
-struct WorkerCtx {
-    listener: Arc<TcpListener>,
-    shared: Arc<Mutex<SharedStore>>,
-    committer: GroupCommitHandle,
-    shutdown: Arc<AtomicBool>,
-    idle_timeout: Duration,
-    max_line_bytes: usize,
-    open_conns: Arc<AtomicUsize>,
-    obs: crate::obs::StoreObs,
-}
-
-fn worker_loop(ctx: WorkerCtx) {
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        match ctx.listener.accept() {
-            Ok((stream, _peer)) => {
-                // Connection errors end that session only; the worker
-                // moves on to the next accept.
-                ctx.open_conns.fetch_add(1, Ordering::SeqCst);
-                let _ = serve_connection(&ctx, stream);
-                ctx.open_conns.fetch_sub(1, Ordering::SeqCst);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(READ_TICK);
-            }
-            Err(_) => std::thread::sleep(READ_TICK),
-        }
-    }
-}
-
-pub(crate) fn wire_kind(kind: ScriptErrorKind) -> WireErrorKind {
-    match kind {
-        ScriptErrorKind::Parse => WireErrorKind::Parse,
-        ScriptErrorKind::Citation => WireErrorKind::Citation,
-        ScriptErrorKind::Readonly => WireErrorKind::Readonly,
-    }
-}
-
-fn serve_connection(ctx: &WorkerCtx, stream: TcpStream) -> io::Result<()> {
-    // Short read timeouts act as ticks: they bound how long a worker
-    // takes to notice shutdown or an exhausted idle budget, and the
-    // LineReader keeps partial lines across them.
-    stream.set_read_timeout(Some(READ_TICK))?;
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone()?;
-    writeln!(writer, "{}", protocol::BANNER)?;
-    writer.flush()?;
-    let mut reader = LineReader::new(stream, ctx.max_line_bytes);
-    let mut interp = Interpreter::session(Arc::clone(&ctx.shared), Some(ctx.committer.clone()));
-    // Idle budget is wall time since the last COMPLETED line: the
-    // deadline-aware read enforces it even against a client trickling
-    // bytes that never finish a line (which would evade a plain
-    // silence-based timeout and pin this worker forever).
-    let mut last_line = Instant::now();
-    loop {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            let _ = protocol::write_response(
-                &mut writer,
-                &Response::Err {
-                    kind: WireErrorKind::Proto,
-                    message: "server shutting down".into(),
-                },
-            );
-            return Ok(());
-        }
-        let deadline = last_line + ctx.idle_timeout;
-        let line = match reader.read_line_deadline(Some(deadline)) {
-            Ok(LineRead::Line(l)) => l,
-            Ok(LineRead::Eof) => return Ok(()),
-            Ok(LineRead::Oversized) => {
-                // Reject and close: resyncing would mean buffering the
-                // rest of an unbounded line. The session's open
-                // transaction dies with the connection.
-                ctx.obs.disconnects_oversized.inc();
-                let _ = protocol::write_response(
-                    &mut writer,
-                    &Response::Err {
-                        kind: WireErrorKind::Proto,
-                        message: format!("line exceeds {} bytes", ctx.max_line_bytes),
-                    },
-                );
-                return Ok(());
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // WouldBlock = one READ_TICK of full silence; TimedOut =
-                // the reader hit the deadline mid-line. Either way the
-                // wall clock decides.
-                if Instant::now() >= deadline {
-                    ctx.obs.disconnects_idle.inc();
-                    let _ = protocol::write_response(
-                        &mut writer,
-                        &Response::Err {
-                            kind: WireErrorKind::Proto,
-                            message: "idle timeout".into(),
-                        },
-                    );
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        last_line = Instant::now();
-        if let Some(hello) = line.strip_prefix(protocol::REPLICA_HELLO) {
-            // The connection switches into the replication sub-protocol
-            // for its lifetime: this worker becomes the feed thread for
-            // one follower (so each attached replica occupies a worker
-            // slot — size `workers` accordingly).
-            return crate::replication::serve_feed(&ctx.shared, &ctx.shutdown, writer, hello);
-        }
-        // Request tags ride both transports: split here so a tagged
-        // command on the blocking path answers with the same tagged
-        // frame the event loop would produce.
-        let (tag, body) = protocol::split_tag(&line);
-        match interp.run_session_line(body) {
-            Ok(reply) => match reply.control {
-                SessionControl::Continue => {
-                    protocol::write_tagged_response(
-                        &mut writer,
-                        tag,
-                        &Response::from_output(&reply.output),
-                    )?;
-                }
-                SessionControl::Quit => {
-                    protocol::write_tagged_response(
-                        &mut writer,
-                        tag,
-                        &Response::Ok(vec!["bye".into()]),
-                    )?;
-                    return Ok(());
-                }
-                SessionControl::Shutdown => {
-                    protocol::write_tagged_response(
-                        &mut writer,
-                        tag,
-                        &Response::Ok(vec!["shutting down".into()]),
-                    )?;
-                    ctx.shutdown.store(true, Ordering::SeqCst);
-                    return Ok(());
-                }
-            },
-            Err(e) => {
-                protocol::write_tagged_response(
-                    &mut writer,
-                    tag,
-                    &Response::Err {
-                        kind: wire_kind(e.kind),
-                        message: e.message,
-                    },
-                )?;
-            }
         }
     }
 }

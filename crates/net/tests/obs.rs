@@ -1,11 +1,11 @@
 //! Observability integration tests: under a pipelined burst, the
 //! Prometheus exposition served by the `metrics` command and the
 //! `--metrics` HTTP endpoint must reconcile with the `stats` command's
-//! counters — on both transports — and the exposition itself must be
-//! structurally valid (metadata before samples, cumulative buckets).
-//! The transports must also agree on *why* connections die: oversized
-//! lines and idle reaps land in the same disconnect counters. And a
-//! time-travel `cite … @ <version>` is observed exactly like a live one.
+//! counters, and the exposition itself must be structurally valid
+//! (metadata before samples, cumulative buckets). *Why* connections
+//! die is counted too: oversized lines and idle reaps land in their
+//! disconnect counters. And a time-travel `cite … @ <version>` is
+//! observed exactly like a live one.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -18,11 +18,10 @@ use citesys_net::protocol::{Response, MAX_LINE_BYTES};
 use citesys_net::script::{Interpreter, SharedStore};
 use citesys_net::server::{Server, ServerConfig};
 
-/// A transport variant with the metrics endpoint (and therefore
-/// latency timings) enabled on an ephemeral port.
-fn metrics_config(event_loop: bool) -> ServerConfig {
+/// A server with the metrics endpoint (and therefore latency timings)
+/// enabled on an ephemeral port.
+fn metrics_config() -> ServerConfig {
     ServerConfig {
-        event_loop,
         workers: 2,
         metrics: Some("127.0.0.1:0".to_string()),
         ..Default::default()
@@ -171,138 +170,129 @@ const BURST: &[&str] = &[
 
 #[test]
 fn metrics_reconcile_with_stats_after_pipelined_burst() {
-    for event_loop in [false, true] {
-        let server = Server::spawn(metrics_config(event_loop)).expect("spawn");
-        let addr = server.local_addr().to_string();
-        let mut conn = Connection::connect(&addr).unwrap();
-        for resp in conn.pipeline(BURST).unwrap() {
-            ok_lines(resp);
-        }
-
-        let stats_lines = ok_lines(conn.send("stats").unwrap());
-        let mut sorted = stats_lines.clone();
-        sorted.sort();
-        assert_eq!(stats_lines, sorted, "stats output must be sorted");
-
-        let text = ok_lines(conn.send("metrics").unwrap()).join("\n");
-        assert_valid_exposition(&text);
-        assert_histogram_consistent(&text, "citesys_cite_seconds");
-        assert_histogram_consistent(&text, "citesys_commit_seconds");
-
-        // Counter/gauge reconciliation: one registry feeds both views.
-        assert_eq!(
-            sample(&text, "citesys_commits_total"),
-            stat(&stats_lines, "commits") as f64,
-            "event_loop={event_loop}"
-        );
-        assert_eq!(
-            sample(&text, "citesys_snapshot_swaps_total"),
-            stat(&stats_lines, "snapshot_swaps") as f64,
-        );
-        assert_eq!(
-            sample(&text, "citesys_group_windows_total"),
-            stat(&stats_lines, "group_windows") as f64,
-        );
-        assert_eq!(
-            sample(&text, "citesys_wal_records"),
-            stat(&stats_lines, "wal_records") as f64,
-        );
-        assert_eq!(
-            sample(&text, "citesys_plan_cache_hits_total"),
-            stat(&stats_lines, "plan_cache_hits") as f64,
-        );
-        assert_eq!(
-            sample(&text, "citesys_plan_cache_misses_total"),
-            stat(&stats_lines, "plan_cache_misses") as f64,
-        );
-        assert_eq!(stat(&stats_lines, "commits"), 3);
-
-        // Latency spans: every cite timed end-to-end and per stage; the
-        // rewrite stage only ran on plan-cache misses.
-        assert_eq!(sample(&text, "citesys_cite_seconds_count"), 3.0);
-        assert_eq!(
-            sample(
-                &text,
-                "citesys_cite_stage_seconds_count{stage=\"plan_lookup\"}"
-            ),
-            3.0
-        );
-        assert_eq!(
-            sample(&text, "citesys_cite_stage_seconds_count{stage=\"render\"}"),
-            3.0
-        );
-        assert_eq!(
-            sample(&text, "citesys_cite_stage_seconds_count{stage=\"rewrite\"}"),
-            sample(&text, "citesys_plan_cache_misses_total"),
-        );
-        assert!(sample(&text, "citesys_cite_stage_seconds_count{stage=\"parse\"}") > 0.0);
-
-        // The HTTP endpoint serves the same registry.
-        let maddr = server
-            .metrics_addr()
-            .expect("metrics endpoint bound")
-            .to_string();
-        let (head, body) = scrape(&maddr, "GET /metrics HTTP/1.1");
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        assert!(
-            head.contains("Content-Type: text/plain; version=0.0.4"),
-            "{head}"
-        );
-        assert_valid_exposition(&body);
-        assert_eq!(
-            sample(&body, "citesys_commits_total"),
-            stat(&stats_lines, "commits") as f64,
-        );
-
-        let (head, _) = scrape(&maddr, "GET /nope HTTP/1.1");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-        let (head, _) = scrape(&maddr, "POST /metrics HTTP/1.1");
-        assert!(head.starts_with("HTTP/1.1 405"), "{head}");
-
-        drop(conn);
-        server.stop();
+    let server = Server::spawn(metrics_config()).expect("spawn");
+    let addr = server.local_addr().to_string();
+    let mut conn = Connection::connect(&addr).unwrap();
+    for resp in conn.pipeline(BURST).unwrap() {
+        ok_lines(resp);
     }
+
+    let stats_lines = ok_lines(conn.send("stats").unwrap());
+    let mut sorted = stats_lines.clone();
+    sorted.sort();
+    assert_eq!(stats_lines, sorted, "stats output must be sorted");
+
+    let text = ok_lines(conn.send("metrics").unwrap()).join("\n");
+    assert_valid_exposition(&text);
+    assert_histogram_consistent(&text, "citesys_cite_seconds");
+    assert_histogram_consistent(&text, "citesys_commit_seconds");
+
+    // Counter/gauge reconciliation: one registry feeds both views.
+    assert_eq!(
+        sample(&text, "citesys_commits_total"),
+        stat(&stats_lines, "commits") as f64,
+    );
+    assert_eq!(
+        sample(&text, "citesys_snapshot_swaps_total"),
+        stat(&stats_lines, "snapshot_swaps") as f64,
+    );
+    assert_eq!(
+        sample(&text, "citesys_group_windows_total"),
+        stat(&stats_lines, "group_windows") as f64,
+    );
+    assert_eq!(
+        sample(&text, "citesys_wal_records"),
+        stat(&stats_lines, "wal_records") as f64,
+    );
+    assert_eq!(
+        sample(&text, "citesys_plan_cache_hits_total"),
+        stat(&stats_lines, "plan_cache_hits") as f64,
+    );
+    assert_eq!(
+        sample(&text, "citesys_plan_cache_misses_total"),
+        stat(&stats_lines, "plan_cache_misses") as f64,
+    );
+    assert_eq!(stat(&stats_lines, "commits"), 3);
+
+    // Latency spans: every cite timed end-to-end and per stage; the
+    // rewrite stage only ran on plan-cache misses.
+    assert_eq!(sample(&text, "citesys_cite_seconds_count"), 3.0);
+    assert_eq!(
+        sample(
+            &text,
+            "citesys_cite_stage_seconds_count{stage=\"plan_lookup\"}"
+        ),
+        3.0
+    );
+    assert_eq!(
+        sample(&text, "citesys_cite_stage_seconds_count{stage=\"render\"}"),
+        3.0
+    );
+    assert_eq!(
+        sample(&text, "citesys_cite_stage_seconds_count{stage=\"rewrite\"}"),
+        sample(&text, "citesys_plan_cache_misses_total"),
+    );
+    assert!(sample(&text, "citesys_cite_stage_seconds_count{stage=\"parse\"}") > 0.0);
+
+    // The HTTP endpoint serves the same registry.
+    let maddr = server
+        .metrics_addr()
+        .expect("metrics endpoint bound")
+        .to_string();
+    let (head, body) = scrape(&maddr, "GET /metrics HTTP/1.1");
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    assert!(
+        head.contains("Content-Type: text/plain; version=0.0.4"),
+        "{head}"
+    );
+    assert_valid_exposition(&body);
+    assert_eq!(
+        sample(&body, "citesys_commits_total"),
+        stat(&stats_lines, "commits") as f64,
+    );
+
+    let (head, _) = scrape(&maddr, "GET /nope HTTP/1.1");
+    assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+    let (head, _) = scrape(&maddr, "POST /metrics HTTP/1.1");
+    assert!(head.starts_with("HTTP/1.1 405"), "{head}");
+
+    drop(conn);
+    server.stop();
 }
 
 #[test]
-fn disconnect_reasons_counted_on_both_transports() {
-    for event_loop in [false, true] {
-        let config = ServerConfig {
-            event_loop,
-            workers: 2,
-            idle_timeout: Duration::from_millis(200),
-            ..Default::default()
-        };
-        let server = Server::spawn(config).expect("spawn");
-        let addr = server.local_addr().to_string();
+fn disconnect_reasons_counted() {
+    let config = ServerConfig {
+        workers: 2,
+        idle_timeout: Duration::from_millis(200),
+        ..Default::default()
+    };
+    let server = Server::spawn(config).expect("spawn");
+    let addr = server.local_addr().to_string();
 
-        // Oversized: one line over the cap hangs the session up.
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        let mut big = vec![b'x'; MAX_LINE_BYTES + 16];
-        big.push(b'\n');
-        stream.write_all(&big).expect("send oversized line");
-        let mut sink = Vec::new();
-        let _ = stream.read_to_end(&mut sink);
-        drop(stream);
+    // Oversized: one line over the cap hangs the session up.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut big = vec![b'x'; MAX_LINE_BYTES + 16];
+    big.push(b'\n');
+    stream.write_all(&big).expect("send oversized line");
+    let mut sink = Vec::new();
+    let _ = stream.read_to_end(&mut sink);
+    drop(stream);
 
-        // Idle: a connected-but-silent session is reaped at the
-        // deadline (hold it open until the server closes it).
-        let mut idle = TcpStream::connect(&addr).expect("connect idle");
-        let mut sink = Vec::new();
-        let _ = idle.read_to_end(&mut sink);
-        drop(idle);
+    // Idle: a connected-but-silent session is reaped at the
+    // deadline (hold it open until the server closes it).
+    let mut idle = TcpStream::connect(&addr).expect("connect idle");
+    let mut sink = Vec::new();
+    let _ = idle.read_to_end(&mut sink);
+    drop(idle);
 
-        let reconciled = poll_until(Duration::from_secs(5), || {
-            let mut conn = Connection::connect(&addr).unwrap();
-            let lines = ok_lines(conn.send("stats").unwrap());
-            stat(&lines, "disconnects_oversized") == 1 && stat(&lines, "disconnects_idle") == 1
-        });
-        assert!(
-            reconciled,
-            "event_loop={event_loop}: disconnect counters never reconciled"
-        );
-        server.stop();
-    }
+    let reconciled = poll_until(Duration::from_secs(5), || {
+        let mut conn = Connection::connect(&addr).unwrap();
+        let lines = ok_lines(conn.send("stats").unwrap());
+        stat(&lines, "disconnects_oversized") == 1 && stat(&lines, "disconnects_idle") == 1
+    });
+    assert!(reconciled, "disconnect counters never reconciled");
+    server.stop();
 }
 
 const ASOF_SETUP: &str = "\

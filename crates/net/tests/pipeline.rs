@@ -1,5 +1,5 @@
-//! Pipelining and event-transport tests: the event-driven connection
-//! layer must be wire-compatible with the blocking worker pool, `@tag`
+//! Pipelining and transport tests: a pipelined session must answer
+//! byte-for-byte what the same lines sent lock-step answer, `@tag`
 //! echoes must come back in request order, commit bursts must coalesce
 //! into one group window, and every failure path (mid-pipeline
 //! disconnects, oversized lines, idle sessions, full servers) must
@@ -13,26 +13,19 @@ use citesys_net::client::Connection;
 use citesys_net::protocol::{Response, WireErrorKind};
 use citesys_net::server::{Server, ServerConfig};
 
+mod common;
+
 fn spawn(config: ServerConfig) -> (Server, String) {
     let server = Server::spawn(config).expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
     (server, addr)
 }
 
-/// Blocking transport, per-transaction commits (deterministic group
-/// stats for equivalence checks).
-fn blocking_config() -> ServerConfig {
-    ServerConfig {
-        commit_window: Duration::ZERO,
-        ..Default::default()
-    }
-}
-
-/// Event transport on a deliberately tiny worker set — every test here
-/// multiplexes more sockets than workers.
+/// A deliberately tiny worker set — every test here multiplexes more
+/// sockets than workers — with per-transaction commits (deterministic
+/// group stats for equivalence checks).
 fn event_config() -> ServerConfig {
     ServerConfig {
-        event_loop: true,
         workers: 2,
         commit_window: Duration::ZERO,
         ..Default::default()
@@ -82,13 +75,12 @@ const SCRIPT: &[&str] = &[
     "tables",
 ];
 
-/// The tentpole equivalence: a 64-deep-capable pipelined session on
-/// the event transport produces exactly the responses — and exactly
-/// the store statistics — of the same script run synchronously on the
-/// blocking transport.
+/// The pipelining equivalence: a pipelined session produces exactly
+/// the responses — and exactly the store statistics — of the same
+/// script run synchronously against a fresh server.
 #[test]
 fn pipelined_equals_sync_responses_and_stats() {
-    let (sync_server, sync_addr) = spawn(blocking_config());
+    let (sync_server, sync_addr) = spawn(event_config());
     let mut conn = Connection::connect(&sync_addr).unwrap();
     let sync_responses: Vec<Response> =
         SCRIPT.iter().map(|line| conn.send(line).unwrap()).collect();
@@ -140,10 +132,10 @@ fn tags_echo_in_request_order_mixed_with_untagged() {
 }
 
 /// The same raw bytes — tags, CRLF endings, blanks, comments, parse
-/// errors, a quit — produce byte-identical reply streams on both
-/// transports.
+/// errors, a quit — produce byte-identical reply streams pipelined in
+/// one write and sent lock-step.
 #[test]
-fn event_and_blocking_transports_byte_identical() {
+fn pipelined_and_lock_step_streams_byte_identical() {
     let request: &[u8] = b"@s1 schema R(A:int, B:text) key(0)\n\
         insert R(1, 'a')\r\n\
         @x insert R(2, 'b')\n\
@@ -154,22 +146,22 @@ fn event_and_blocking_transports_byte_identical() {
         @oops bogus nonsense\n\
         @ not-a-tag\n\
         @q quit\n";
-    let (blocking, blocking_addr) = spawn(blocking_config());
-    let (event, event_addr) = spawn(event_config());
-    let from_blocking = exchange(&blocking_addr, request);
-    let from_event = exchange(&event_addr, request);
+    let (reference, reference_addr) = spawn(event_config());
+    let (pipelined, pipelined_addr) = spawn(event_config());
+    let from_lock_step = common::lock_step(&reference_addr, request);
+    let from_pipeline = exchange(&pipelined_addr, request);
     assert_eq!(
-        String::from_utf8_lossy(&from_blocking),
-        String::from_utf8_lossy(&from_event),
+        String::from_utf8_lossy(&from_lock_step),
+        String::from_utf8_lossy(&from_pipeline),
     );
     // Spot-check the shared stream really carries tagged frames.
-    let text = String::from_utf8_lossy(&from_event).to_string();
+    let text = String::from_utf8_lossy(&from_pipeline).to_string();
     assert!(text.contains("ok @s1 1"), "{text}");
     assert!(text.contains("ok @c1 1"), "{text}");
     assert!(text.contains("err @oops parse"), "{text}");
     assert!(text.ends_with("ok @q 1\nbye\n"), "{text}");
-    blocking.stop();
-    event.stop();
+    reference.stop();
+    pipelined.stop();
 }
 
 /// A client that vanishes mid-pipeline (open transaction, responses
@@ -207,23 +199,27 @@ fn mid_pipeline_disconnect_rolls_back_and_leaks_nothing() {
     server.stop();
 }
 
-/// Regression (satellite 4): an oversized line on a pipelined
-/// connection flushes every earlier queued response first, answers
-/// `err proto` for the bad request, and only then closes — on *both*
-/// transports, with identical bytes.
+/// Regression: an oversized line on a pipelined connection flushes
+/// every earlier queued response first, answers `err proto` for the bad
+/// request, and only then closes — with the bytes the same lines sent
+/// lock-step get.
 #[test]
 fn oversized_line_flushes_earlier_responses_then_closes() {
     let mut request = b"schema R(A:int)\ninsert R(1)\n@t3 insert R(".to_vec();
     request.extend_from_slice("9".repeat(300).as_bytes());
     request.extend_from_slice(b")\n");
     let mut streams = Vec::new();
-    for event_loop in [false, true] {
+    for pipelined in [false, true] {
         let (server, addr) = spawn(ServerConfig {
             max_line_bytes: 64,
-            event_loop,
             ..event_config()
         });
-        let reply = String::from_utf8_lossy(&exchange(&addr, &request)).to_string();
+        let reply = if pipelined {
+            exchange(&addr, &request)
+        } else {
+            common::lock_step(&addr, &request)
+        };
+        let reply = String::from_utf8_lossy(&reply).to_string();
         // Both earlier commands answered, in order, before the error…
         let schema_at = reply.find("schema R (1 attributes)").expect(&reply);
         let err_at = reply.find("err proto line exceeds 64 bytes").expect(&reply);
@@ -237,7 +233,7 @@ fn oversized_line_flushes_earlier_responses_then_closes() {
         streams.push(reply);
         server.stop();
     }
-    assert_eq!(streams[0], streams[1], "transports diverged");
+    assert_eq!(streams[0], streams[1], "pipelined diverged from lock-step");
 }
 
 /// A pipelined burst of transactions lands on the group committer
@@ -310,8 +306,8 @@ fn quit_drops_the_pipelined_tail() {
     server.stop();
 }
 
-/// The event transport reaps idle sessions on the same contract as the
-/// blocking pool: an `err proto` frame, then a close.
+/// Idle sessions are reaped on the wire contract: an `err proto`
+/// frame, then a close, on a worker multiplexing other sockets.
 #[test]
 fn idle_event_session_times_out_with_protocol_error() {
     let (server, addr) = spawn(ServerConfig {
@@ -368,8 +364,8 @@ fn over_capacity_connections_get_server_full_then_a_freed_slot_works() {
     server.stop();
 }
 
-/// `shutdown` over the event transport stops the whole server after
-/// draining the farewell frame.
+/// `shutdown` stops the whole server after draining the farewell
+/// frame.
 #[test]
 fn shutdown_over_event_transport_stops_the_server() {
     let (server, addr) = spawn(event_config());

@@ -3,7 +3,7 @@
 
 use std::io::Write;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use citesys_net::client::Connection;
 use citesys_net::protocol::{Response, WireErrorKind};
@@ -317,6 +317,67 @@ fn stats_command_visible_over_the_wire() {
     assert!(
         lines.iter().any(|l| l.starts_with("group_windows 1")),
         "{lines:?}"
+    );
+    server.stop();
+}
+
+/// Placement: the acceptor hands each connection to the worker holding
+/// the fewest, so with two idle workers a pair of fresh sessions lands
+/// on both, and one session's slow cite (run inline on its worker)
+/// never holds up the other's requests.
+#[test]
+fn slow_cite_does_not_stall_a_fresh_session() {
+    const ROWS: i64 = 220;
+    const ROUNDS: usize = 10;
+    // A cross product over R: ROWS² bindings to evaluate and annotate.
+    const SLOW_CITE: &str = "cite Q(A) :- R(A, B), R(C, D)";
+    let (server, addr) = spawn(ServerConfig {
+        workers: 2,
+        ..quick_config()
+    });
+    let mut admin = Connection::connect(&addr).unwrap();
+    let mut setup = vec![
+        "schema R(A:int, B:int) key(0)".to_string(),
+        "view V(A, B) :- R(A, B) | cite CV(D) :- D = 'src'".to_string(),
+    ];
+    setup.extend((0..ROWS).map(|i| format!("insert R({i}, {})", i % 7)));
+    setup.push("commit".to_string());
+    let setup: Vec<&str> = setup.iter().map(String::as_str).collect();
+    for resp in admin.pipeline(&setup).unwrap() {
+        ok_lines(resp);
+    }
+    drop(admin);
+
+    let mut stalled = 0;
+    for _ in 0..ROUNDS {
+        // Both workers idle, so placement alone decides the pair.
+        let idle = Instant::now() + Duration::from_secs(5);
+        while server.open_connections() > 0 && Instant::now() < idle {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut slow = Connection::connect(&addr).unwrap();
+        let mut fresh = Connection::connect(&addr).unwrap();
+        // The cite goes out first: on a shared worker it runs before
+        // the `tables` that arrives behind it.
+        slow.send_nowait(None, SLOW_CITE).unwrap();
+        ok_lines(fresh.send("tables").unwrap());
+        // Had the fresh session queued behind the cite on one worker,
+        // the cite's reply would already be on the wire.
+        slow.stream().set_nonblocking(true).unwrap();
+        let cite_done = !matches!(
+            slow.stream().peek(&mut [0u8; 1]),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+        );
+        slow.stream().set_nonblocking(false).unwrap();
+        let lines = ok_lines(slow.read_response().unwrap().expect("cite reply"));
+        assert!(lines[0].contains("answer tuple(s)"), "{lines:?}");
+        if cite_done {
+            stalled += 1;
+        }
+    }
+    assert_eq!(
+        stalled, 0,
+        "{stalled} of {ROUNDS} rounds queued a fresh session behind a slow cite"
     );
     server.stop();
 }

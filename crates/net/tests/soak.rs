@@ -112,7 +112,6 @@ fn event_loop_holds_thousands_of_idle_connections_on_two_workers() {
     let held = target.min(budget).max(16);
 
     let server = Server::spawn(ServerConfig {
-        event_loop: true,
         workers: 2,
         idle_timeout: Duration::from_secs(300),
         commit_window: Duration::from_millis(50),

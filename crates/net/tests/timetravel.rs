@@ -1,8 +1,7 @@
 //! End-to-end time travel over the wire: `cite … @ <version>` must
 //! return byte-identical output (answer lines, citation, fixity digest)
-//! to what a live `cite` printed when that version WAS the present —
-//! over the blocking transport and the event-loop transport alike; deep
-//! history survives a restart through retained checkpoint anchors; and
+//! to what a live `cite` printed when that version WAS the present;
+//! deep history survives a restart through retained checkpoint anchors; and
 //! `compact` trims the queryable window with a distinct error below it.
 
 use std::path::PathBuf;
@@ -83,15 +82,12 @@ fn assert_time_travel_matches(conn: &mut Connection, live: &[Option<Vec<String>>
     }
 }
 
-/// The tentpole contract on one transport: historical cites are
-/// byte-identical to the live cites they rewind to, snapshots are
-/// stable, the edges error crisply, and `stats` reports the window.
-fn check_transport(event_loop: bool) {
-    let server = Server::spawn(ServerConfig {
-        event_loop,
-        ..Default::default()
-    })
-    .expect("bind server");
+/// Historical cites are byte-identical to the live cites they rewind
+/// to, snapshots are stable, the edges error crisply, and `stats`
+/// reports the window.
+#[test]
+fn at_version_cites_are_byte_identical() {
+    let server = Server::spawn(ServerConfig::default()).expect("bind server");
     let addr = server.local_addr().to_string();
     let mut conn = Connection::connect(&addr).expect("connect");
     run_setup(&mut conn);
@@ -136,16 +132,6 @@ fn check_transport(event_loop: bool) {
 
     drop(conn);
     server.stop();
-}
-
-#[test]
-fn at_version_cites_are_byte_identical_blocking() {
-    check_transport(false);
-}
-
-#[test]
-fn at_version_cites_are_byte_identical_event_loop() {
-    check_transport(true);
 }
 
 /// Auto-checkpointing (`--checkpoint-every`) with retention keeps the

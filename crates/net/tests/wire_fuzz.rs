@@ -1,14 +1,13 @@
-//! Protocol fuzz (satellite 1): randomly generated command pipelines —
-//! tagged and untagged, CRLF and LF, valid, garbage and oversized —
-//! are sent to a blocking-transport server and an event-transport
-//! server with random TCP segmentation, and the two full response
-//! streams must be **byte-identical**.
+//! Protocol fuzz: randomly generated command pipelines — tagged and
+//! untagged, CRLF and LF, valid, garbage and oversized — are sent
+//! pipelined with random TCP segmentation, and the full response stream
+//! must be **byte-identical** to the one a fresh server returns for the
+//! same lines sent lock-step (one request in flight).
 //!
 //! The generator places a `tables` barrier after every `commit`: a
-//! pipelined commit burst legitimately coalesces on the event
-//! transport (`group of N` differs from the strictly sequential
-//! blocking path), so equivalence is asserted on the
-//! one-commit-in-flight schedule both transports share.
+//! pipelined commit burst legitimately coalesces (`group of N` differs
+//! from the strictly sequential lock-step run), so equivalence is
+//! asserted on the one-commit-in-flight schedule both runs share.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -17,13 +16,14 @@ use std::time::Duration;
 use citesys_net::server::{Server, ServerConfig};
 use proptest::prelude::*;
 
+mod common;
+
 /// Line cap for both servers: small enough that the fuzzer can afford
 /// to cross it.
 const LINE_CAP: usize = 160;
 
-fn spawn(event_loop: bool) -> (Server, String) {
+fn spawn() -> (Server, String) {
     let server = Server::spawn(ServerConfig {
-        event_loop,
         workers: 2,
         commit_window: Duration::ZERO,
         max_line_bytes: LINE_CAP,
@@ -73,7 +73,7 @@ fn render(op: FuzzOp, lines: &mut Vec<(String, bool)>) {
     lines.push((line, crlf));
     if code == 5 {
         // Barrier: hold the next command until the commit acks, so the
-        // group size is 1 on both transports (see module docs).
+        // group size is 1 in both runs (see module docs).
         lines.push(("tables".to_string(), false));
     }
 }
@@ -104,10 +104,10 @@ fn exchange(addr: &str, head: &[u8], tail: &[u8], chunks: &[usize]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The equivalence property: identical request bytes, identically
-    /// segmented, yield identical reply bytes from both transports.
+    /// The equivalence property: request bytes pipelined in random
+    /// segments yield the reply bytes of the same lines sent lock-step.
     #[test]
-    fn blocking_and_event_replies_are_byte_identical(
+    fn pipelined_replies_equal_lock_step_replies(
         ops in prop::collection::vec((0u8..12, 0i64..6, 0u8..4, any::<bool>()), 0..24),
         oversized in any::<bool>(),
         chunks in prop::collection::vec(1usize..48, 1..24),
@@ -133,15 +133,15 @@ proptest! {
             b"quit\n".to_vec()
         };
 
-        let (blocking, blocking_addr) = spawn(false);
-        let (event, event_addr) = spawn(true);
-        let from_blocking = exchange(&blocking_addr, &head, &tail, &chunks);
-        let from_event = exchange(&event_addr, &head, &tail, &chunks);
-        blocking.stop();
-        event.stop();
+        let (reference, reference_addr) = spawn();
+        let (pipelined, pipelined_addr) = spawn();
+        let from_lock_step = common::lock_step(&reference_addr, &[head.as_slice(), &tail].concat());
+        let from_pipeline = exchange(&pipelined_addr, &head, &tail, &chunks);
+        reference.stop();
+        pipelined.stop();
         prop_assert_eq!(
-            String::from_utf8_lossy(&from_blocking).to_string(),
-            String::from_utf8_lossy(&from_event).to_string()
+            String::from_utf8_lossy(&from_lock_step).to_string(),
+            String::from_utf8_lossy(&from_pipeline).to_string()
         );
     }
 }

@@ -152,15 +152,13 @@ grep -q -- '--follow' MIGRATION.md \
 
 # Content contract for the event-driven transport: the architecture
 # doc must document the event loop, tag framing and backpressure, and
-# the quickstart must show --event-loop and the pipelined client mode.
+# the quickstart must show the pipelined client mode.
 grep -q '## Event loop & pipelining' ARCHITECTURE.md \
     || { echo "ARCHITECTURE.md must have an 'Event loop & pipelining' section"; fail=1; }
 grep -q 'ok @' ARCHITECTURE.md \
     || { echo "ARCHITECTURE.md must document the @tag response framing"; fail=1; }
 grep -qi 'backpressure' ARCHITECTURE.md \
     || { echo "ARCHITECTURE.md must document the event loop's backpressure rules"; fail=1; }
-grep -q -- '--event-loop' README.md \
-    || { echo "README.md must quickstart 'serve --event-loop'"; fail=1; }
 grep -q 'client --pipeline' README.md \
     || { echo "README.md must show the pipelined client mode"; fail=1; }
 

@@ -51,6 +51,16 @@ if [ "$code" -ne 2 ] || ! grep -qF "unknown serve option '--plan-cache'" "$workd
     cat "$workdir/flag.err"
     exit 1
 fi
+# Likewise the removed transport switch: there is one transport.
+set +e
+"$BIN" serve --listen 127.0.0.1:0 --event-loop > /dev/null 2> "$workdir/flag.err"
+code=$?
+set -e
+if [ "$code" -ne 2 ] || ! grep -qF "unknown serve option '--event-loop'" "$workdir/flag.err"; then
+    echo "FAIL: serve --event-loop exited $code (want 2, naming the option)"
+    cat "$workdir/flag.err"
+    exit 1
+fi
 
 "$BIN" serve --listen 127.0.0.1:0 --data-dir "$workdir/data" \
     > "$workdir/server.out" 2> "$workdir/server.err" &

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Pipelined-transport smoke test: start `citesys serve --event-loop` on
-# an ephemeral port, run a `client --pipeline` script whose whole body
+# Pipelined-transport smoke test: start `citesys serve --listen` on an
+# ephemeral port, run a `client --pipeline` script whose whole body
 # goes out before the first response comes back (asserting the commit
 # burst coalesced into one group window), check raw `@tag` framing over
-# /dev/tcp, attach a `serve --follow` replica through the event
-# transport's feed handoff, then shut the primary down over the wire.
+# /dev/tcp, attach a `serve --follow` replica through the transport's
+# feed handoff, then shut the primary down over the wire.
 # CI runs this as a step of the check job; it needs only
 # loopback networking.
 set -euo pipefail
@@ -58,17 +58,14 @@ wait_until() {
     exit 1
 }
 
-# --- Phase 1: event-loop primary, pipelined scripted client -----------------
-"$BIN" serve --listen 127.0.0.1:0 --event-loop --max-connections 512 \
+# --- Phase 1: primary, pipelined scripted client -----------------------------
+"$BIN" serve --listen 127.0.0.1:0 --max-connections 512 \
     --commit-window-ms 200 --data-dir "$workdir/primary" \
     > "$workdir/primary.out" 2> "$workdir/primary.err" &
 primary_pid=$!
 read_addr "$workdir/primary.out"
 paddr=$addr
-grep -qF "event loop enabled (max 512 connections)" "$workdir/primary.out" || {
-    echo "FAIL: server did not announce the event transport"
-    cat "$workdir/primary.out"; exit 1; }
-echo "event-loop primary listening on $paddr"
+echo "primary listening on $paddr"
 
 # The whole script is pipelined up front, so the two `commit` lines are
 # in flight together and must coalesce into one group-commit window.
@@ -140,8 +137,8 @@ if [ "$code" -ne 4 ]; then
 fi
 echo "pipelined citation error exited 4"
 
-# --- Phase 4: replication follower through the event transport --------------
-"$BIN" serve --listen 127.0.0.1:0 --event-loop --data-dir "$workdir/follower" \
+# --- Phase 4: replication follower through the feed handoff ------------------
+"$BIN" serve --listen 127.0.0.1:0 --data-dir "$workdir/follower" \
     --follow "$paddr" \
     > "$workdir/follower.out" 2> "$workdir/follower.err" &
 follower_pid=$!
@@ -162,11 +159,11 @@ follower_matches_primary() {
         > "$workdir/follower.read" 2>/dev/null
     cmp -s "$workdir/primary.read" "$workdir/follower.read"
 }
-wait_until "follower catch-up over the event transport" follower_matches_primary
+wait_until "follower catch-up through the feed handoff" follower_matches_primary
 grep -qF "fixity verified" "$workdir/follower.read" || {
     echo "FAIL: follower did not verify fixity"
     cat "$workdir/follower.read"; exit 1; }
-echo "follower replicated through the event transport (byte-identical reads)"
+echo "follower replicated through the feed handoff (byte-identical reads)"
 
 set +e
 echo "insert Family(99, 'Nope', 'X')" | "$BIN" client --pipeline "$faddr" \

@@ -3,9 +3,8 @@
 # auto-checkpointing (`--checkpoint-every`) and anchor retention, commit
 # past several checkpoint anchors while capturing each version's LIVE
 # cite output, then assert `cite … @ <version>` returns byte-identical
-# output for every version — over the blocking transport, and again over
-# the event-loop transport after a restart (so deep versions resolve
-# through retained anchors, not the in-memory op log). Finally `compact`
+# output for every version — live, and again after a restart (so deep
+# versions resolve through retained anchors, not the in-memory op log). Finally `compact`
 # over the wire and assert in-window versions keep serving while
 # pre-window versions fail with the distinct compacted-history error
 # (exit 4 on the wire, exit 5 from `wal dump --since`). CI runs this as
@@ -45,9 +44,9 @@ read_addr() {
     fi
 }
 
-start_server() { # args: extra flags...
+start_server() {
     "$BIN" serve --listen 127.0.0.1:0 --data-dir "$data" \
-        --checkpoint-every 2 --retain-checkpoints 8 "$@" \
+        --checkpoint-every 2 --retain-checkpoints 8 \
         > "$workdir/server.out" 2> "$workdir/server.err" &
     server_pid=$!
     read_addr "$workdir/server.out"
@@ -95,7 +94,7 @@ retained=$(stat_of checkpoints_retained)
     echo "FAIL: expected >1 retained checkpoints, got $retained"; exit 1; }
 echo "committed $latest versions past $retained retained checkpoint(s)"
 
-# --- Phase 2: @ version is byte-identical to the live cite (blocking) -------
+# --- Phase 2: @ version is byte-identical to the live cite -----------------
 check_all_versions() { # arg: phase label
     for v in $(seq 1 $latest); do
         echo "$CITE @ $v" | "$BIN" client "$addr" > "$workdir/at.$v"
@@ -107,7 +106,7 @@ check_all_versions() { # arg: phase label
     done
     echo "cite @ 1..$latest byte-identical to live cites ($1)"
 }
-check_all_versions "blocking transport"
+check_all_versions "live server"
 echo "snapshot @ 2" | "$BIN" client "$addr" > "$workdir/snap.a"
 echo "snapshot @ 2" | "$BIN" client "$addr" > "$workdir/snap.b"
 cmp -s "$workdir/snap.a" "$workdir/snap.b" || {
@@ -115,16 +114,14 @@ cmp -s "$workdir/snap.a" "$workdir/snap.b" || {
 grep -q "^snapshot v2 sha256:" "$workdir/snap.a" || {
     echo "FAIL: snapshot output malformed"; cat "$workdir/snap.a"; exit 1; }
 
-# --- Phase 3: restart on the event loop; history now crosses anchors --------
+# --- Phase 3: restart; history now crosses anchors ---------------------------
 stop_server
-start_server --event-loop
-grep -q "event loop enabled" "$workdir/server.out" || {
-    echo "FAIL: event loop did not engage"; cat "$workdir/server.out"; exit 1; }
-echo "restarted on the event-loop transport at $addr"
+start_server
+echo "restarted at $addr"
 base=$(stat_of history_base_version)
 [ "$base" = "0" ] || {
     echo "FAIL: anchors should reach genesis before compaction, base=$base"; exit 1; }
-check_all_versions "event loop, post-restart (anchor reads)"
+check_all_versions "post-restart (anchor reads)"
 
 # --- Phase 4: compact trims the queryable window -----------------------------
 echo "compact 1" | "$BIN" client "$addr" > "$workdir/compact.out"

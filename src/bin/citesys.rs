@@ -27,7 +27,8 @@
 use std::io::{BufRead, Read, Write};
 use std::time::Duration;
 
-use citesys::net::client::{run_script, run_script_pipelined, EXIT_CITE, EXIT_PARSE};
+use citesys::net::client::{run_script, run_script_pipelined, ScriptFailure};
+use citesys::net::protocol::WireErrorKind;
 use citesys::net::script::{
     Interpreter, ScriptError, ScriptErrorKind, SessionControl, SharedStore,
 };
@@ -92,6 +93,18 @@ impl AppError {
     }
 }
 
+impl From<ScriptFailure> for AppError {
+    /// A server-reported error exits like the same script error run
+    /// locally; connection and protocol failures are I/O errors.
+    fn from(e: ScriptFailure) -> Self {
+        match e.kind {
+            Some(WireErrorKind::Parse) => AppError::Parse(e.message),
+            Some(WireErrorKind::Citation | WireErrorKind::Readonly) => AppError::Cite(e.message),
+            Some(WireErrorKind::Proto) | None => AppError::Io(e.message),
+        }
+    }
+}
+
 fn usage() -> String {
     "usage: citesys <script-file | - | serve | client | ingest | dataset | checkpoint | recover | compact | wal>\n\n\
      modes:\n  \
@@ -99,7 +112,7 @@ fn usage() -> String {
      -              read a whole script from stdin\n  \
      serve [--data-dir <path>] [--listen <addr>]\n        \
      [--follow <addr>] [--workers <n>] [--idle-timeout <secs>] [--commit-window-ms <ms>]\n        \
-     [--event-loop] [--max-connections <n>]\n        \
+     [--max-connections <n>]\n        \
      [--checkpoint-every <records>] [--retain-checkpoints <n>]\n        \
      [--metrics <addr>] [--slow-cite-ms <n>]\n                 \
      interactive: execute each stdin line as it arrives,\n                 \
@@ -118,11 +131,11 @@ fn usage() -> String {
      primary's WAL, serves cite/read commands at its replicated\n                 \
      version and rejects writes with a readonly error (requires\n                 \
      --listen and --data-dir; a restart resumes from the local WAL)\n                 \
-     --event-loop swaps the worker pool for the event-driven\n                 \
-     transport: the same workers multiplex thousands of sockets\n                 \
-     through an epoll readiness loop, and clients may pipeline\n                 \
-     commands (optionally tagged '@t cmd', tag echoed in the\n                 \
-     response frame); --max-connections caps held sockets (over it,\n                 \
+     --workers sets the event-worker threads: each multiplexes the\n                 \
+     sockets an acceptor hands it (fewest held first) through an\n                 \
+     epoll readiness loop, and clients may pipeline commands\n                 \
+     (optionally tagged '@t cmd', tag echoed in the response\n                 \
+     frame); --max-connections caps held sockets (over it,\n                 \
      connections are refused with 'err proto server full')\n                 \
      --checkpoint-every writes a checkpoint automatically once the WAL\n                 \
      holds that many records; --retain-checkpoints keeps the newest <n>\n                 \
@@ -206,7 +219,6 @@ struct ServeOpts {
     workers: Option<usize>,
     idle_timeout: Option<u64>,
     commit_window_ms: Option<u64>,
-    event_loop: bool,
     max_connections: Option<usize>,
     checkpoint_every: Option<u64>,
     retain_checkpoints: Option<usize>,
@@ -222,7 +234,6 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, String> {
         workers: None,
         idle_timeout: None,
         commit_window_ms: None,
-        event_loop: false,
         max_connections: None,
         checkpoint_every: None,
         retain_checkpoints: None,
@@ -261,7 +272,6 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, String> {
                         .map_err(|_| "--commit-window-ms needs milliseconds".to_string())?,
                 )
             }
-            "--event-loop" => opts.event_loop = true,
             "--checkpoint-every" => {
                 let every: u64 = take("--checkpoint-every")?
                     .parse()
@@ -296,29 +306,19 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, String> {
             other => return Err(format!("unknown serve option '{other}'")),
         }
     }
-    // The pool/timeout/window knobs configure the TCP server; accepting
+    // The worker/timeout/window knobs configure the TCP server; accepting
     // them for the stdin REPL would silently ignore them.
     if opts.listen.is_none() {
         for (flag, set) in [
             ("--workers", opts.workers.is_some()),
             ("--idle-timeout", opts.idle_timeout.is_some()),
             ("--commit-window-ms", opts.commit_window_ms.is_some()),
-            ("--event-loop", opts.event_loop),
             ("--max-connections", opts.max_connections.is_some()),
         ] {
             if set {
                 return Err(format!("{flag} requires --listen <addr>"));
             }
         }
-    }
-    // The connection cap is an event-loop knob; the blocking pool's cap
-    // is --workers.
-    if opts.max_connections.is_some() && !opts.event_loop {
-        return Err(
-            "--max-connections requires --event-loop (the blocking pool is capped \
-                    by --workers)"
-                .into(),
-        );
     }
     // Checkpoint cadence and anchor retention are durability knobs:
     // without a data dir there is no WAL to measure or checkpoint to
@@ -369,7 +369,6 @@ fn serve_tcp(opts: &ServeOpts) -> Result<(), AppError> {
     if let Some(ms) = opts.commit_window_ms {
         config.commit_window = Duration::from_millis(ms);
     }
-    config.event_loop = opts.event_loop;
     if let Some(n) = opts.max_connections {
         config.max_connections = n;
     }
@@ -379,16 +378,11 @@ fn serve_tcp(opts: &ServeOpts) -> Result<(), AppError> {
     }
     config.metrics = opts.metrics.clone();
     config.slow_cite_ms = opts.slow_cite_ms;
-    let max_connections = config.max_connections;
     let server =
         Server::spawn(config).map_err(|e| AppError::Io(format!("error starting server: {e}")))?;
     if let Some(primary) = &opts.follow {
         // Parsed by scripts/CI to confirm follower mode engaged.
         println!("following {primary}");
-    }
-    if opts.event_loop {
-        // Parsed by scripts/CI to confirm the transport in use.
-        println!("event loop enabled (max {max_connections} connections)");
     }
     if let Some(addr) = server.metrics_addr() {
         // Parsed by scripts/CI to discover the scrape endpoint.
@@ -508,20 +502,12 @@ fn client(args: &[String]) -> Result<(), AppError> {
         }
     };
     let mut out = std::io::stdout();
-    // The runners stop at the first error and write it here.
-    let mut err = Vec::new();
-    let code = if pipeline {
-        run_script_pipelined(addr, &script, &mut out, &mut err)
+    if pipeline {
+        run_script_pipelined(addr, &script, &mut out)?;
     } else {
-        run_script(addr, &script, &mut out, &mut err)
-    };
-    let message = String::from_utf8_lossy(&err).trim_end().to_string();
-    match code {
-        0 => Ok(()),
-        EXIT_PARSE => Err(AppError::Parse(message)),
-        EXIT_CITE => Err(AppError::Cite(message)),
-        _ => Err(AppError::Io(message)),
+        run_script(addr, &script, &mut out)?;
     }
+    Ok(())
 }
 
 /// `checkpoint <data-dir>`: recover and fold the WAL into a fresh
