@@ -82,11 +82,11 @@ fn assert_time_travel_matches(conn: &mut Connection, live: &[Option<Vec<String>>
     }
 }
 
-/// Historical cites are byte-identical to the live cites they rewind
-/// to, snapshots are stable, the edges error crisply, and `stats`
-/// reports the window.
+/// Over the event-loop transport, historical cites are byte-identical
+/// to the live cites they rewind to, snapshots are stable, the edges
+/// error crisply, and `stats` reports the window.
 #[test]
-fn at_version_cites_are_byte_identical() {
+fn at_version_cites_are_byte_identical_event_loop() {
     let server = Server::spawn(ServerConfig::default()).expect("bind server");
     let addr = server.local_addr().to_string();
     let mut conn = Connection::connect(&addr).expect("connect");
