@@ -63,7 +63,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use citesys_cq::{ConjunctiveQuery, Term, Value};
+use citesys_cq::{scan_quoted, write_quoted, ConjunctiveQuery, Term, Value};
 use citesys_obs::{SpanSet, SpanTimer};
 use citesys_rewrite::{PlanParseError, RewritePlan, RewriteStats};
 use citesys_storage::{Changeset, Database, VersionedDatabase};
@@ -370,9 +370,9 @@ impl PlanCache {
     ///
     /// The format stores `(signature, constants, plan)` triples; shard
     /// assignment and LRU/counter state are in-process properties and are
-    /// not persisted. Like [`RewritePlan::to_text`], text constants
-    /// containing newlines do not round-trip (the surface parser cannot
-    /// produce them either).
+    /// not persisted. A text constant holding a newline or carriage
+    /// return is written quoted (`const s '…'`), every other one raw
+    /// (`const t …`).
     ///
     /// **Soundness caveat**: plans are computed against a specific
     /// registry of citation views. Loading a file exported under a
@@ -389,6 +389,14 @@ impl PlanCache {
                     match c {
                         Value::Int(i) => {
                             let _ = writeln!(out, "const i {i}");
+                        }
+                        // Text that would break the line is quoted
+                        // under its own tag; any other keeps the raw
+                        // `const t` form, so such sections stay byte-stable.
+                        Value::Text(s) if s.as_str().contains(['\n', '\r']) => {
+                            out.push_str("const s ");
+                            let _ = write_quoted(&mut out, s.as_str());
+                            out.push('\n');
                         }
                         Value::Text(s) => {
                             let _ = writeln!(out, "const t {}", s.as_str());
@@ -453,6 +461,10 @@ impl PlanCache {
                                 .map_err(|_| err(format!("bad int constant '{n}'")))?,
                         ),
                         Some(("t", s)) => Value::text(s),
+                        Some(("s", s)) => match scan_quoted(s) {
+                            Ok((text, "")) => Value::from(text),
+                            _ => return Err(err(format!("bad text constant '{s}'"))),
+                        },
                         Some(("b", "true")) => Value::Bool(true),
                         Some(("b", "false")) => Value::Bool(false),
                         _ => return Err(err(format!("bad constant line '{line}'"))),
@@ -678,20 +690,6 @@ impl AsOfCache {
                 services: VecDeque::new(),
             }),
         }
-    }
-
-    /// The versions currently holding a warm as-of service (diagnostics).
-    pub fn cached_versions(&self) -> Vec<u64> {
-        let mut versions: Vec<u64> = self
-            .inner
-            .lock()
-            .services
-            .iter()
-            .map(|((v, _), _)| *v)
-            .collect();
-        versions.sort_unstable();
-        versions.dedup();
-        versions
     }
 
     /// Returns a warm service over `snapshot` at `version` with
@@ -994,12 +992,6 @@ impl CitationService {
         }
         self.asof
             .service_for(version, snapshot, &self.registry, options)
-    }
-
-    /// The shared time-travel cache (diagnostics: which historical
-    /// versions currently hold a warm as-of service).
-    pub fn asof_cache(&self) -> &Arc<AsOfCache> {
-        &self.asof
     }
 
     /// Looks up (or computes and caches) the rewrite plan for `q`.

@@ -275,20 +275,6 @@ impl Store {
             .map(|(_, _, svc)| svc.view_cache_stats())
     }
 
-    /// The strict plan cache in the `citesys-plan-cache v1` text form —
-    /// the checkpoint's plan section.
-    pub fn export_plans(&self) -> String {
-        self.plans_strict.to_text()
-    }
-
-    /// Loads plans serialized by [`export_plans`](Self::export_plans)
-    /// into the strict plan cache, returning how many were loaded. A
-    /// later view registration replaces the cache, so an import cannot
-    /// outlive the registry it was computed under.
-    pub fn import_plans(&self, text: &str) -> Result<usize, StoreError> {
-        self.plans_strict.load_text(text).map_err(failed)
-    }
-
     /// Declares a relation — only before any data command: older
     /// versions replay from the schema set, so a late declaration would
     /// drift their fixity digests. DDL cannot ride the WAL, so a durable

@@ -80,16 +80,6 @@ pub enum Literal {
     Eq(Term, Term),
 }
 
-impl Literal {
-    /// Returns the relational atom, if this literal is one.
-    pub fn as_atom(&self) -> Option<&Atom> {
-        match self {
-            Literal::Atom(a) => Some(a),
-            Literal::Eq(..) => None,
-        }
-    }
-}
-
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -8,6 +8,9 @@
 //!
 //! * a Datalog-style parser for the paper's notation
 //!   (`λ FID. V1(FID, FName, Desc) :- Family(FID, FName, Desc)`),
+//! * the literal grammar ([`literal`]) through which every text in the
+//!   system — command lines, queries, the WAL, checkpoints — reads and
+//!   writes a constant,
 //! * homomorphism search (Chandra–Merlin containment mappings),
 //! * containment / equivalence tests and core minimization,
 //! * most-general unification (used by the view-rewriting algorithms in
@@ -35,6 +38,7 @@ pub mod contain;
 pub mod error;
 pub mod hom;
 pub mod hypergraph;
+pub mod literal;
 pub mod parse;
 pub mod query;
 pub mod symbol;
@@ -48,6 +52,7 @@ pub use contain::{are_equivalent, is_contained_in, is_minimal, minimize};
 pub use error::CqError;
 pub use hom::{find_homomorphism, homomorphism_exists};
 pub use hypergraph::{gyo, is_acyclic, join_forest, GyoResult};
+pub use literal::{scan_quoted, scan_value, split_quoted, write_quoted, write_value};
 pub use parse::{parse_program, parse_query};
 pub use query::ConjunctiveQuery;
 pub use symbol::Symbol;

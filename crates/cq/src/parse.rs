@@ -11,17 +11,19 @@
 //! literal := atom | term "=" term
 //! atom    := ident "(" [ term ("," term)* ] ")"
 //! term    := ident            (a variable)
-//!          | integer          (e.g. 11, -3)
-//!          | string           ('…' or "…", backslash escapes)
-//!          | "#t" | "#f"      (booleans)
+//!          | literal          (see below)
 //! ```
 //!
-//! Any bare identifier in term position is a **variable** — the paper writes
-//! variables like `FID`, `FName`, `Text`. Constants must be quoted or
-//! numeric. Line comments start with `%` or `//`.
+//! Any bare identifier other than `true`/`false` in term position is a
+//! **variable** — the paper writes variables like `FID`, `FName`, `Text`.
+//! Constants are read by [`crate::literal::scan_value`], the grammar every
+//! other text in the system shares: quoted strings, integers and the
+//! booleans `true`/`false` (`#t`/`#f` are read too, for stored text from
+//! older builds). Line comments start with `%` or `//`.
 
 use crate::atom::{Atom, Literal};
 use crate::error::CqError;
+use crate::literal::scan_value;
 use crate::query::ConjunctiveQuery;
 use crate::symbol::Symbol;
 use crate::term::Term;
@@ -52,10 +54,7 @@ pub fn parse_program(input: &str) -> Result<Vec<ConjunctiveQuery>, CqError> {
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum Tok {
     Ident(String),
-    Int(i64),
-    Str(String),
-    BoolTrue,
-    BoolFalse,
+    Const(Value),
     Lambda,
     LParen,
     RParen,
@@ -75,247 +74,62 @@ struct Spanned {
 
 fn lex(input: &str) -> Result<Vec<Spanned>, CqError> {
     let mut toks = Vec::new();
-    let mut chars = input.chars().peekable();
-    let mut line = 1usize;
-    let mut col = 1usize;
-
-    macro_rules! err {
-        ($l:expr, $c:expr, $($arg:tt)*) => {
-            return Err(CqError::Parse { line: $l, col: $c, msg: format!($($arg)*) })
-        };
-    }
-
-    while let Some(&c) = chars.peek() {
-        let (tl, tc) = (line, col);
-        match c {
-            '\n' => {
-                chars.next();
-                line += 1;
-                col = 1;
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-                col += 1;
-            }
-            '%' => {
-                while let Some(&c) = chars.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    chars.next();
-                    col += 1;
-                }
-            }
-            '/' => {
-                chars.next();
-                col += 1;
-                if chars.peek() == Some(&'/') {
-                    while let Some(&c) = chars.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        chars.next();
-                        col += 1;
-                    }
-                } else {
-                    err!(tl, tc, "unexpected '/'");
-                }
-            }
-            '(' => {
-                chars.next();
-                col += 1;
-                toks.push(Spanned {
-                    tok: Tok::LParen,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            ')' => {
-                chars.next();
-                col += 1;
-                toks.push(Spanned {
-                    tok: Tok::RParen,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            ',' => {
-                chars.next();
-                col += 1;
-                toks.push(Spanned {
-                    tok: Tok::Comma,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            '.' => {
-                chars.next();
-                col += 1;
-                toks.push(Spanned {
-                    tok: Tok::Dot,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            '=' => {
-                chars.next();
-                col += 1;
-                toks.push(Spanned {
-                    tok: Tok::Equals,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            'λ' => {
-                chars.next();
-                col += 1;
-                toks.push(Spanned {
-                    tok: Tok::Lambda,
-                    line: tl,
-                    col: tc,
-                });
-            }
-            ':' => {
-                chars.next();
-                col += 1;
-                if chars.peek() == Some(&'-') {
-                    chars.next();
-                    col += 1;
-                    toks.push(Spanned {
-                        tok: Tok::Turnstile,
-                        line: tl,
-                        col: tc,
-                    });
-                } else {
-                    err!(tl, tc, "expected ':-'");
-                }
-            }
-            '#' => {
-                chars.next();
-                col += 1;
-                match chars.next() {
-                    Some('t') => {
-                        col += 1;
-                        toks.push(Spanned {
-                            tok: Tok::BoolTrue,
-                            line: tl,
-                            col: tc,
-                        });
-                    }
-                    Some('f') => {
-                        col += 1;
-                        toks.push(Spanned {
-                            tok: Tok::BoolFalse,
-                            line: tl,
-                            col: tc,
-                        });
-                    }
-                    other => err!(tl, tc, "expected #t or #f, found {other:?}"),
-                }
-            }
-            '\'' | '"' => {
-                let quote = c;
-                chars.next();
-                col += 1;
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        None => err!(tl, tc, "unterminated string"),
-                        Some('\\') => {
-                            col += 1;
-                            match chars.next() {
-                                Some('n') => {
-                                    s.push('\n');
-                                    col += 1;
-                                }
-                                Some('t') => {
-                                    s.push('\t');
-                                    col += 1;
-                                }
-                                Some(other) => {
-                                    s.push(other);
-                                    col += 1;
-                                }
-                                None => err!(tl, tc, "unterminated escape"),
-                            }
-                        }
-                        Some(c) if c == quote => {
-                            col += 1;
-                            break;
-                        }
-                        Some('\n') => {
-                            s.push('\n');
-                            line += 1;
-                            col = 1;
-                        }
-                        Some(other) => {
-                            s.push(other);
-                            col += 1;
-                        }
-                    }
-                }
-                toks.push(Spanned {
-                    tok: Tok::Str(s),
-                    line: tl,
-                    col: tc,
-                });
-            }
-            '-' | '0'..='9' => {
-                let mut s = String::new();
-                if c == '-' {
-                    s.push('-');
-                    chars.next();
-                    col += 1;
-                }
-                let mut any = false;
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_digit() {
-                        s.push(d);
-                        chars.next();
-                        col += 1;
-                        any = true;
-                    } else {
-                        break;
-                    }
-                }
-                if !any {
-                    err!(tl, tc, "expected digits after '-'");
-                }
-                let n: i64 = s.parse().map_err(|_| CqError::Parse {
-                    line: tl,
-                    col: tc,
-                    msg: format!("integer out of range: {s}"),
-                })?;
-                toks.push(Spanned {
-                    tok: Tok::Int(n),
-                    line: tl,
-                    col: tc,
-                });
+    let mut rest = input;
+    let (mut line, mut col) = (1usize, 1usize);
+    while let Some(c) = rest.chars().next() {
+        let err = |msg: String| CqError::Parse { line, col, msg };
+        let to_line_end = || rest.find('\n').unwrap_or(rest.len());
+        // The token (if any) and how many bytes of `rest` it spans.
+        let (tok, len) = match c {
+            c if c.is_whitespace() => (None, c.len_utf8()),
+            '%' => (None, to_line_end()),
+            '/' if rest.starts_with("//") => (None, to_line_end()),
+            '(' => (Some(Tok::LParen), 1),
+            ')' => (Some(Tok::RParen), 1),
+            ',' => (Some(Tok::Comma), 1),
+            '.' => (Some(Tok::Dot), 1),
+            '=' => (Some(Tok::Equals), 1),
+            'λ' => (Some(Tok::Lambda), c.len_utf8()),
+            ':' if rest.starts_with(":-") => (Some(Tok::Turnstile), 2),
+            ':' => return Err(err("expected ':-'".into())),
+            // Stored registry and plan text from older builds spells
+            // booleans `#t` / `#f`.
+            '#' => match rest.as_bytes().get(1) {
+                Some(b't') => (Some(Tok::Const(Value::Bool(true))), 2),
+                Some(b'f') => (Some(Tok::Const(Value::Bool(false))), 2),
+                _ => return Err(err("expected #t or #f".into())),
+            },
+            '\'' | '"' | '-' | '0'..='9' => {
+                let (v, after) = scan_value(rest).map_err(err)?;
+                (Some(Tok::Const(v)), rest.len() - after.len())
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' {
-                        s.push(d);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let tok = if s == "lambda" {
-                    Tok::Lambda
-                } else {
-                    Tok::Ident(s)
+                let len = rest
+                    .find(|d: char| !(d.is_alphanumeric() || d == '_'))
+                    .unwrap_or(rest.len());
+                let tok = match &rest[..len] {
+                    "lambda" => Tok::Lambda,
+                    "true" => Tok::Const(Value::Bool(true)),
+                    "false" => Tok::Const(Value::Bool(false)),
+                    word => Tok::Ident(word.to_string()),
                 };
-                toks.push(Spanned {
-                    tok,
-                    line: tl,
-                    col: tc,
-                });
+                (Some(tok), len)
             }
-            other => err!(tl, tc, "unexpected character {other:?}"),
+            other => return Err(err(format!("unexpected character {other:?}"))),
+        };
+        if let Some(tok) = tok {
+            toks.push(Spanned { tok, line, col });
         }
+        let (text, after) = rest.split_at(len);
+        for ch in text.chars() {
+            if ch == '\n' {
+                line += 1;
+                col = 1;
+            } else {
+                col += 1;
+            }
+        }
+        rest = after;
     }
     toks.push(Spanned {
         tok: Tok::Eof,
@@ -421,12 +235,12 @@ impl Parser {
     }
 
     fn body(&mut self) -> Result<Vec<Literal>, CqError> {
-        // `true` denotes the empty body.
-        if let Tok::Ident(s) = &self.peek().tok {
-            if s == "true" {
-                self.next();
-                return Ok(Vec::new());
-            }
+        // `true` not followed by `=` denotes the empty body.
+        if self.peek().tok == Tok::Const(Value::Bool(true))
+            && self.toks.get(self.pos + 1).map(|s| &s.tok) != Some(&Tok::Equals)
+        {
+            self.next();
+            return Ok(Vec::new());
         }
         let mut lits = vec![self.literal()?];
         while self.peek().tok == Tok::Comma {
@@ -474,21 +288,9 @@ impl Parser {
                 self.next();
                 Ok(Term::Var(Symbol::from(s)))
             }
-            Tok::Int(n) => {
+            Tok::Const(v) => {
                 self.next();
-                Ok(Term::Const(Value::Int(n)))
-            }
-            Tok::Str(s) => {
-                self.next();
-                Ok(Term::Const(Value::from(s)))
-            }
-            Tok::BoolTrue => {
-                self.next();
-                Ok(Term::Const(Value::Bool(true)))
-            }
-            Tok::BoolFalse => {
-                self.next();
-                Ok(Term::Const(Value::Bool(false)))
+                Ok(Term::Const(v))
             }
             other => self.error(format!("expected a term, found {other:?}")),
         }
@@ -557,6 +359,23 @@ mod tests {
         assert_eq!(a.terms[3], Term::constant(true));
         assert_eq!(a.terms[4], Term::constant(false));
         assert_eq!(a.terms[5], Term::constant("a'b\\c\nd"));
+    }
+
+    #[test]
+    fn true_and_false_are_constants_in_every_position() {
+        let q = parse_query("Q(I, false) :- Note(I, B, true), F = false").unwrap();
+        assert_eq!(q.head.terms[1], Term::constant(false));
+        assert_eq!(q.body[0].terms[2], Term::constant(true));
+        assert!(q.vars().iter().all(|v| v.as_str() != "true"));
+        let eq = parse_query("C(D) :- true = D").unwrap();
+        assert_eq!(eq.head.terms[0], Term::constant(true));
+    }
+
+    #[test]
+    fn double_quotes_and_control_escapes() {
+        let q = parse_query(r#"Q(I) :- Note(I, "bug #42", 'a\rb\tc')"#).unwrap();
+        assert_eq!(q.body[0].terms[1], Term::constant("bug #42"));
+        assert_eq!(q.body[0].terms[2], Term::constant("a\rb\tc"));
     }
 
     #[test]

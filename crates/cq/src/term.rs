@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::literal::write_value;
 use crate::symbol::Symbol;
 use crate::value::Value;
 
@@ -66,26 +67,9 @@ impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Term::Var(v) => write!(f, "{v}"),
-            Term::Const(Value::Text(s)) => write!(f, "'{}'", escape_text(s.as_str())),
-            Term::Const(Value::Bool(b)) => write!(f, "{}", if *b { "#t" } else { "#f" }),
-            Term::Const(c) => write!(f, "{c}"),
+            Term::Const(c) => write_value(f, c),
         }
     }
-}
-
-/// Escapes a text constant for the surface syntax (single-quoted strings).
-pub(crate) fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\'' => out.push_str("\\'"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 impl From<Value> for Term {
@@ -241,6 +225,7 @@ mod tests {
         assert_eq!(Term::var("FID").to_string(), "FID");
         assert_eq!(Term::constant("Calcitonin").to_string(), "'Calcitonin'");
         assert_eq!(Term::constant(11).to_string(), "11");
+        assert_eq!(Term::constant(true).to_string(), "true");
     }
 
     #[test]

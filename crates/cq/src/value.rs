@@ -126,6 +126,20 @@ pub enum ValueType {
     Bool,
 }
 
+impl std::str::FromStr for ValueType {
+    type Err = String;
+
+    /// Reads a type name as [`Display`](fmt::Display) writes it.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "int" => Ok(ValueType::Int),
+            "text" => Ok(ValueType::Text),
+            "bool" => Ok(ValueType::Bool),
+            other => Err(format!("unknown type '{other}'")),
+        }
+    }
+}
+
 impl fmt::Display for ValueType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -162,6 +176,8 @@ mod tests {
         assert_eq!(Value::text("a").type_name(), ValueType::Text);
         assert_eq!(Value::Bool(false).type_name(), ValueType::Bool);
         assert_eq!(ValueType::Int.to_string(), "int");
+        assert_eq!("bool".parse::<ValueType>(), Ok(ValueType::Bool));
+        assert!("float".parse::<ValueType>().is_err());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property-based tests for the conjunctive-query layer.
 
 use citesys_cq::{
-    are_equivalent, is_contained_in, minimize, parse_query, Atom, ConjunctiveQuery, Substitution,
-    Symbol, Term, Value,
+    are_equivalent, is_contained_in, minimize, parse_query, write_value, Atom, ConjunctiveQuery,
+    Substitution, Symbol, Term, Value,
 };
+use citesys_net::protocol::{parse_command, Command};
+use citesys_storage::{Changeset, Tuple};
 use proptest::prelude::*;
 
 /// Strategy for a small pool of variable names.
@@ -17,6 +19,22 @@ fn value() -> impl Strategy<Value = Value> {
         (-20i64..20).prop_map(Value::Int),
         prop::sample::select(vec!["a", "b", "c"]).prop_map(Value::text),
         any::<bool>().prop_map(Value::Bool),
+    ]
+}
+
+/// Strategy for any constant, text drawn from the characters the literal
+/// grammar treats specially (quotes, escapes, comment and clause marks,
+/// control characters) plus a few ordinary and non-ASCII ones.
+fn literal_value() -> impl Strategy<Value = Value> {
+    let chars = vec![
+        'a', 'Z', '0', ' ', '\'', '"', '\\', '\n', '\r', '\t', '#', '|', ',', '(', ')', '@', '%',
+        'n', 't', 'é', 'λ',
+    ];
+    prop_oneof![
+        1 => any::<i64>().prop_map(Value::Int),
+        1 => any::<bool>().prop_map(Value::Bool),
+        3 => prop::collection::vec(prop::sample::select(chars), 0..12)
+            .prop_map(|cs| Value::text(cs.into_iter().collect::<String>())),
     ]
 }
 
@@ -74,6 +92,29 @@ proptest! {
         let printed = q.to_string();
         let reparsed = parse_query(&printed).expect("printed query parses");
         prop_assert_eq!(q, reparsed);
+    }
+
+    /// Any value the shared writer prints reads back equal through every
+    /// text that carries one: an `insert` line, a query constant and
+    /// changeset (WAL) text.
+    #[test]
+    fn written_values_read_back_everywhere(v in literal_value()) {
+        let mut lit = String::new();
+        write_value(&mut lit, &v).unwrap();
+        match parse_command(&format!("insert R({lit}, 1) # note")) {
+            Ok(Some(Command::Insert { rel, tuple })) => {
+                prop_assert_eq!(rel, "R");
+                prop_assert_eq!(tuple.values(), &[v.clone(), Value::Int(1)][..]);
+            }
+            other => prop_assert!(false, "insert R({lit}, 1): {other:?}"),
+        }
+        let q = parse_query(&format!("Q(X) :- R({lit}, X)")).expect("query constant parses");
+        prop_assert_eq!(&q.body[0].terms[0], &Term::Const(v.clone()));
+        let mut c = Changeset::new();
+        c.insert("R", Tuple::new(vec![v.clone()]));
+        let text = c.to_text();
+        prop_assert!(text.ends_with(&format!("i R({lit})\n")), "{text:?}");
+        prop_assert_eq!(Changeset::from_text(&text).unwrap(), c);
     }
 
     /// Containment is reflexive.

@@ -88,13 +88,11 @@ impl<R: BufRead> JsonlReader<R> {
         let mut attrs: Vec<Attribute> = Vec::new();
         for (name, v) in pairs {
             let ty = match v {
-                Json::Str(s) => match s.as_str() {
-                    "int" => ValueType::Int,
-                    "text" => ValueType::Text,
-                    "bool" => ValueType::Bool,
-                    other => {
+                Json::Str(s) => match s.parse::<ValueType>() {
+                    Ok(ty) => ty,
+                    Err(e) => {
                         return Err(StorageError::UnknownRelation {
-                            name: format!("{relation}: unknown type '{other}'"),
+                            name: format!("{relation}: {e}"),
                         }
                         .into())
                     }

@@ -45,7 +45,7 @@ pub use audit::{append_audit, read_audit, AuditRecord, AUDIT_FILE};
 pub use error::IngestError;
 pub use jsonl::JsonlReader;
 pub use manifest::{
-    hash_file, verify_sources, DatasetEntry, DatasetManifest, SourceFile, VerifyIssue,
-    MANIFEST_FILE,
+    hash_file, manifest_path, verify_sources, DatasetEntry, DatasetManifest, SourceFile,
+    VerifyIssue, MANIFEST_FILE,
 };
 pub use reader::{CsvReader, HashCountRead, IngestConfig};

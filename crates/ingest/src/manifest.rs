@@ -362,11 +362,12 @@ pub(crate) fn sync_parent_dir(path: &Path) -> Result<(), IngestError> {
     Ok(())
 }
 
-/// Joins a manifest path: explicit override or `<dir>/datasets.lock`.
-pub fn manifest_path(data_dir: &Path, explicit: Option<&str>) -> PathBuf {
+/// Where a store's manifest lives: the explicit override, else
+/// `<data-dir>/datasets.lock`; `None` for a store with neither.
+pub fn manifest_path(data_dir: Option<&Path>, explicit: Option<&str>) -> Option<PathBuf> {
     match explicit {
-        Some(p) => PathBuf::from(p),
-        None => data_dir.join(MANIFEST_FILE),
+        Some(p) => Some(PathBuf::from(p)),
+        None => data_dir.map(|d| d.join(MANIFEST_FILE)),
     }
 }
 

@@ -39,8 +39,8 @@ use citesys_core::{
     CitationFormat, CitationFunction, CitationMode, CitationQuery, EngineOptions, PolicySet,
     RewritePolicy,
 };
-use citesys_cq::{parse_query, ConjunctiveQuery, Value, ValueType};
-use citesys_storage::{Changeset, CheckpointData, Tuple};
+use citesys_cq::{parse_query, scan_quoted, split_quoted, ConjunctiveQuery};
+use citesys_storage::{read_ground_atom, Changeset, CheckpointData, RelationSchema, Tuple};
 
 /// The banner the server sends on connect; clients verify the prefix.
 pub const BANNER: &str = "citesys-net v1";
@@ -106,14 +106,7 @@ pub struct CiteSpec {
 #[derive(Clone, Debug)]
 pub enum Command {
     /// `schema Name(attr:type, …) [key(i, …)]`
-    Schema {
-        /// Relation name.
-        name: String,
-        /// Attribute names and types, in order.
-        attrs: Vec<(String, ValueType)>,
-        /// Key attribute positions.
-        key: Vec<usize>,
-    },
+    Schema(RelationSchema),
     /// `insert Name(v, …)`
     Insert {
         /// Relation name.
@@ -207,7 +200,9 @@ pub enum Command {
 }
 
 /// Parses one input line into a [`Command`]. Comments (`#`, outside
-/// single-quoted strings) are stripped; blank lines parse to `None`.
+/// quoted strings) are stripped; blank lines parse to `None`. Constants
+/// and quoted paths follow the one literal grammar of
+/// [`citesys_cq::literal`].
 pub fn parse_command(raw: &str) -> Result<Option<Command>, ParseError> {
     let line = strip_comment(raw).trim();
     if line.is_empty() {
@@ -215,14 +210,20 @@ pub fn parse_command(raw: &str) -> Result<Option<Command>, ParseError> {
     }
     let (head, rest) = line.split_once(' ').unwrap_or((line, ""));
     let cmd = match head {
-        "schema" => parse_schema(rest)?,
+        "schema" => Command::Schema(RelationSchema::parse(rest).map_err(perr)?),
         "insert" => {
-            let (rel, tuple) = parse_ground_atom(rest).map_err(perr)?;
-            Command::Insert { rel, tuple }
+            let (rel, tuple) = read_ground_atom(rest).map_err(perr)?;
+            Command::Insert {
+                rel: rel.to_string(),
+                tuple,
+            }
         }
         "delete" => {
-            let (rel, tuple) = parse_ground_atom(rest).map_err(perr)?;
-            Command::Delete { rel, tuple }
+            let (rel, tuple) = read_ground_atom(rest).map_err(perr)?;
+            Command::Delete {
+                rel: rel.to_string(),
+                tuple,
+            }
         }
         "view" => Command::View(parse_view(rest)?),
         "begin" => Command::Begin,
@@ -269,69 +270,32 @@ pub fn parse_command(raw: &str) -> Result<Option<Command>, ParseError> {
     Ok(Some(cmd))
 }
 
-// schema Family(FID:int, FName:text, Desc:text) key(0, 1)
-fn parse_schema(rest: &str) -> Result<Command, ParseError> {
-    let (name, after) = rest
-        .split_once('(')
-        .ok_or_else(|| perr("expected Name(attr:type, …)"))?;
-    let (attrs_str, tail) = after.split_once(')').ok_or_else(|| perr("missing ')'"))?;
-    let mut attrs = Vec::new();
-    for part in attrs_str.split(',') {
-        let (n, t) = part
-            .trim()
-            .split_once(':')
-            .ok_or_else(|| perr(format!("attribute '{part}' lacks ':type'")))?;
-        let ty = match t.trim() {
-            "int" => ValueType::Int,
-            "text" => ValueType::Text,
-            "bool" => ValueType::Bool,
-            other => return Err(perr(format!("unknown type '{other}'"))),
-        };
-        attrs.push((n.trim().to_string(), ty));
-    }
-    let mut key = Vec::new();
-    let tail = tail.trim();
-    if let Some(k) = tail.strip_prefix("key(") {
-        let inner = k
-            .strip_suffix(')')
-            .ok_or_else(|| perr("missing ')' in key"))?;
-        for idx in inner.split(',') {
-            let i: usize = idx
-                .trim()
-                .parse()
-                .map_err(|_| perr(format!("bad key position '{idx}'")))?;
-            if i >= attrs.len() {
-                return Err(perr(format!("key position {i} out of range")));
-            }
-            key.push(i);
-        }
-    } else if !tail.is_empty() {
-        return Err(perr(format!("unexpected trailing input: '{tail}'")));
-    }
-    Ok(Command::Schema {
-        name: name.trim().to_string(),
-        attrs,
-        key,
-    })
-}
-
 // load Family from '/dumps/Family.csv' key(0)
 fn parse_load(rest: &str) -> Result<Command, ParseError> {
+    let usage = "expected: load <Relation> from '<path>' [key(i, …)]";
     let (name, after) = rest
         .trim()
         .split_once(" from ")
-        .ok_or_else(|| perr("expected: load <Relation> from '<path>' [key(i, …)]"))?;
+        .ok_or_else(|| perr(usage))?;
     let after = after.trim();
-    let (path_part, key) = match after.rfind(" key(") {
-        Some(idx) => (
-            after[..idx].trim(),
-            Some(parse_key_positions(after[idx + 1..].trim())?),
-        ),
-        None => (after, None),
+    let (path, tail) = if after.starts_with(['\'', '"']) {
+        let (path, tail) = scan_quoted(after).map_err(perr)?;
+        (path, tail.trim())
+    } else {
+        // A bare path runs up to an optional key clause.
+        let (path, tail) = after
+            .rfind(" key(")
+            .map_or((after, ""), |i| (&after[..i], &after[i..]));
+        (path.to_string(), tail.trim())
+    };
+    let key = match tail {
+        "" => None,
+        spec if spec.starts_with("key(") => Some(parse_key_positions(spec)?),
+        _ => return Err(perr(usage)),
     };
     Ok(Command::Load {
         rel: name.trim().to_string(),
-        path: path_part.trim_matches('\'').to_string(),
+        path,
         key,
     })
 }
@@ -357,7 +321,8 @@ fn parse_key_positions(spec: &str) -> Result<Vec<usize>, ParseError> {
 fn parse_ingest(rest: &str) -> Result<Command, ParseError> {
     let rest = rest.trim();
     let usage = "expected: ingest '<dir>' [as <name>] [manifest '<path>'] [batch <n>]";
-    let (dir, mut tail) = take_quoted(rest).ok_or_else(|| perr(usage))?;
+    let (dir, tail) = scan_quoted(rest).map_err(|e| perr(format!("{e}; {usage}")))?;
+    let mut tail = tail.trim();
     let mut dataset = None;
     let mut manifest = None;
     let mut batch = None;
@@ -373,10 +338,10 @@ fn parse_ingest(rest: &str) -> Result<Command, ParseError> {
                 tail = more.trim();
             }
             "manifest" => {
-                let (p, more) =
-                    take_quoted(after.trim()).ok_or_else(|| perr("'manifest' needs a '<path>'"))?;
+                let (p, more) = scan_quoted(after.trim())
+                    .map_err(|e| perr(format!("'manifest' needs a '<path>': {e}")))?;
                 manifest = Some(p);
-                tail = more;
+                tail = more.trim();
             }
             "batch" => {
                 let (n, more) = after.trim().split_once(' ').unwrap_or((after.trim(), ""));
@@ -400,21 +365,13 @@ fn parse_ingest(rest: &str) -> Result<Command, ParseError> {
     })
 }
 
-/// Takes a leading `'…'`-quoted string, returning it and the trimmed
-/// remainder.
-fn take_quoted(s: &str) -> Option<(String, &str)> {
-    let rest = s.strip_prefix('\'')?;
-    let end = rest.find('\'')?;
-    Some((rest[..end].to_string(), rest[end + 1..].trim()))
-}
-
-/// An optional single `'…'`-quoted argument (whole-input form).
+/// An optional single quoted argument (whole-input form).
 fn parse_optional_quoted(s: &str, usage: &str) -> Result<Option<String>, ParseError> {
     if s.is_empty() {
         return Ok(None);
     }
-    match take_quoted(s) {
-        Some((q, "")) => Ok(Some(q)),
+    match scan_quoted(s) {
+        Ok((q, rest)) if rest.trim().is_empty() => Ok(Some(q)),
         _ => Err(perr(format!("expected: {usage}"))),
     }
 }
@@ -536,81 +493,23 @@ fn parse_cite(rest: &str) -> Result<CiteSpec, ParseError> {
     })
 }
 
-/// Strips a `#` comment, ignoring `#` inside single-quoted strings (with
-/// `\'` escapes, matching the value parser) so `insert Note(1, 'bug #42')`
-/// survives intact.
+/// Strips a `#` comment: a `#` outside `'…'` and `"…"` strings, so
+/// `insert Note(1, 'bug #42')` survives intact. An unterminated string
+/// runs to the end of the line (the value parser then rejects it).
 pub fn strip_comment(raw: &str) -> &str {
-    let mut in_quote = false;
-    let mut escaped = false;
-    for (i, c) in raw.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quote => escaped = true,
-            '\'' => in_quote = !in_quote,
-            '#' if !in_quote => return &raw[..i],
-            _ => {}
+    let bytes = raw.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'#' => return &raw[..i],
+            b'\'' | b'"' => match split_quoted(&raw[i..]) {
+                Some((_, rest)) => i = raw.len() - rest.len(),
+                None => return raw,
+            },
+            _ => i += 1,
         }
     }
     raw
-}
-
-/// Parses `Name(v1, v2, …)` with int / quoted-text / bool values.
-pub fn parse_ground_atom(input: &str) -> Result<(String, Tuple), String> {
-    let (name, after) = input
-        .split_once('(')
-        .ok_or_else(|| "expected Name(values…)".to_string())?;
-    let inner = after
-        .trim_end()
-        .strip_suffix(')')
-        .ok_or_else(|| "missing ')'".to_string())?;
-    let mut values = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        let (v, remainder) = parse_value(rest)?;
-        values.push(v);
-        rest = remainder.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err(format!("expected ',' before '{rest}'"));
-        }
-    }
-    Ok((name.trim().to_string(), Tuple::new(values)))
-}
-
-fn parse_value(input: &str) -> Result<(Value, &str), String> {
-    let input = input.trim_start();
-    if let Some(rest) = input.strip_prefix('\'') {
-        let mut out = String::new();
-        let mut chars = rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => {
-                    if let Some((_, n)) = chars.next() {
-                        out.push(n);
-                    }
-                }
-                '\'' => return Ok((Value::from(out), &rest[i + 1..])),
-                other => out.push(other),
-            }
-        }
-        Err("unterminated string".into())
-    } else if let Some(rest) = input.strip_prefix("true") {
-        Ok((Value::Bool(true), rest))
-    } else if let Some(rest) = input.strip_prefix("false") {
-        Ok((Value::Bool(false), rest))
-    } else {
-        let end = input
-            .find(|c: char| c == ',' || c.is_whitespace())
-            .unwrap_or(input.len());
-        let n: i64 = input[..end]
-            .parse()
-            .map_err(|_| format!("bad value '{}'", &input[..end]))?;
-        Ok((Value::Int(n), &input[end..]))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1134,10 +1033,10 @@ mod tests {
             .unwrap()
             .unwrap();
         match cmd {
-            Command::Schema { name, attrs, key } => {
-                assert_eq!(name, "R");
-                assert_eq!(attrs.len(), 2);
-                assert_eq!(key, vec![0]);
+            Command::Schema(schema) => {
+                assert_eq!(schema.name.as_str(), "R");
+                assert_eq!(schema.arity(), 2);
+                assert_eq!(schema.key, vec![0]);
             }
             other => panic!("{other:?}"),
         }
@@ -1501,15 +1400,24 @@ mod tests {
 
     #[test]
     fn ground_atom_parser() {
-        let (name, t) = parse_ground_atom("R(1, 'a\\'b', true, -5)").unwrap();
+        let insert = |line: &str| match parse_command(line) {
+            Ok(Some(Command::Insert { rel, tuple })) => Ok((rel, tuple)),
+            Ok(other) => panic!("{other:?}"),
+            Err(e) => Err(e.message),
+        };
+        let (name, t) = insert(r#"insert R(1, 'a\'b', true, -5, "c\nd")"#).unwrap();
         assert_eq!(name, "R");
-        assert_eq!(t.arity(), 4);
+        assert_eq!(t.arity(), 5);
         assert_eq!(t.get(1).unwrap().as_text(), Some("a'b"));
         assert_eq!(t.get(2).unwrap().as_bool(), Some(true));
         assert_eq!(t.get(3).unwrap().as_int(), Some(-5));
-        assert!(parse_ground_atom("R(1").is_err());
-        assert!(parse_ground_atom("R(1 2)").is_err());
-        assert!(parse_ground_atom("R('open)").is_err());
+        assert_eq!(t.get(4).unwrap().as_text(), Some("c\nd"));
+        assert!(insert("insert R(1").is_err());
+        assert!(insert("insert R(1 2)").is_err());
+        assert_eq!(
+            insert("insert R('open)").unwrap_err(),
+            "unterminated string"
+        );
     }
 
     #[test]
@@ -1518,8 +1426,51 @@ mod tests {
             strip_comment("insert R('a\\'#b') # c"),
             "insert R('a\\'#b') "
         );
+        assert_eq!(
+            strip_comment(r#"cite Q(I) :- N(I, "bug #42") # c"#),
+            r#"cite Q(I) :- N(I, "bug #42") "#
+        );
+        assert_eq!(
+            strip_comment(r#"insert N("it's #1")"#),
+            r#"insert N("it's #1")"#
+        );
+        assert_eq!(strip_comment("insert N('open # x"), "insert N('open # x");
         assert_eq!(strip_comment("# whole line"), "");
         assert_eq!(strip_comment("no comment"), "no comment");
+    }
+
+    #[test]
+    fn quoted_paths_decode_escapes() {
+        match parse_command(r"ingest 'it\'s dir' manifest 'a\\b'")
+            .unwrap()
+            .unwrap()
+        {
+            Command::Ingest { dir, manifest, .. } => {
+                assert_eq!(dir, "it's dir");
+                assert_eq!(manifest.as_deref(), Some("a\\b"));
+            }
+            other => panic!("{other:?}"),
+        }
+        match parse_command(r#"load R from "x y.csv" key(0)"#)
+            .unwrap()
+            .unwrap()
+        {
+            Command::Load { path, key, .. } => {
+                assert_eq!(path, "x y.csv");
+                assert_eq!(key, Some(vec![0]));
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(parse_command("load R from 'x.csv' junk").is_err());
+        match parse_command(r"dataset verify 'm\'s.lock'")
+            .unwrap()
+            .unwrap()
+        {
+            Command::DatasetVerify { manifest } => {
+                assert_eq!(manifest.as_deref(), Some("m's.lock"))
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@
 use std::fmt;
 use std::fs::File;
 use std::io::BufReader;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use citesys_core::{
@@ -61,8 +61,8 @@ use citesys_core::{
     Coverage, DurableHandle, EngineOptions, FixityToken, Store, StoreError,
 };
 use citesys_ingest::{
-    append_audit, verify_sources, AuditRecord, CsvReader, DatasetEntry, DatasetManifest,
-    HashCountRead, IngestConfig, JsonlReader, SourceFile, VerifyIssue, AUDIT_FILE, MANIFEST_FILE,
+    append_audit, manifest_path, verify_sources, AuditRecord, CsvReader, DatasetEntry,
+    DatasetManifest, HashCountRead, IngestConfig, JsonlReader, SourceFile, VerifyIssue, AUDIT_FILE,
 };
 use citesys_obs::{SpanSet, SpanTimer};
 use citesys_storage::{
@@ -642,7 +642,7 @@ impl Interpreter {
 
     fn exec(&mut self, cmd: &Command) -> Result<(), CmdError> {
         let mutating = match cmd {
-            Command::Schema { .. } => Some("schema"),
+            Command::Schema(_) => Some("schema"),
             Command::Insert { .. } => Some("insert"),
             Command::Delete { .. } => Some("delete"),
             Command::View(_) => Some("view"),
@@ -657,7 +657,7 @@ impl Interpreter {
             self.reject_if_follower(what)?;
         }
         match cmd {
-            Command::Schema { name, attrs, key } => self.cmd_schema(name, attrs, key),
+            Command::Schema(schema) => self.cmd_schema(schema.clone()),
             Command::Insert { rel, tuple } => self.cmd_write(true, rel, tuple.clone()),
             Command::Delete { rel, tuple } => self.cmd_write(false, rel, tuple.clone()),
             Command::View(spec) => self.cmd_view(spec),
@@ -693,19 +693,12 @@ impl Interpreter {
         }
     }
 
-    fn cmd_schema(
-        &mut self,
-        name: &str,
-        attrs: &[(String, citesys_cq::ValueType)],
-        key: &[usize],
-    ) -> Result<(), CmdError> {
-        let parts: Vec<(&str, citesys_cq::ValueType)> =
-            attrs.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let schema = RelationSchema::from_parts(name, &parts, key);
+    fn cmd_schema(&mut self, schema: RelationSchema) -> Result<(), CmdError> {
+        let said = format!("schema {} ({} attributes)", schema.name, schema.arity());
         self.shared
             .lock()
             .write(|store, spans| store.declare_relation(schema, spans))?;
-        self.say(format!("schema {name} ({} attributes)", attrs.len()));
+        self.say(said);
         Ok(())
     }
 
@@ -1133,16 +1126,7 @@ impl Interpreter {
              (versions {first_version}..{last_version})",
             files.len()
         ));
-        let manifest_file: Option<PathBuf> = match manifest {
-            Some(p) => Some(PathBuf::from(p)),
-            None => self
-                .shared
-                .lock()
-                .store
-                .data_dir()
-                .map(|d| d.join(MANIFEST_FILE)),
-        };
-        let Some(path) = manifest_file else {
+        let Some(path) = manifest_path(self.shared.lock().store.data_dir(), manifest) else {
             self.say(
                 "no manifest written (in-memory store: pass manifest '<path>' or serve --data-dir)",
             );
@@ -1197,13 +1181,12 @@ impl Interpreter {
 
     /// `datasets`: list the loads registered in the store's manifest.
     fn cmd_datasets(&mut self) -> Result<(), CmdError> {
-        let Some(dir) = self.shared.lock().store.data_dir().map(Path::to_path_buf) else {
+        let Some(path) = manifest_path(self.shared.lock().store.data_dir(), None) else {
             return Err(cite_err(
                 "no durable data directory (datasets are registered in <data-dir>/datasets.lock)",
             ));
         };
-        let m =
-            DatasetManifest::load(&dir.join(MANIFEST_FILE)).map_err(|e| cite_err(e.to_string()))?;
+        let m = DatasetManifest::load(&path).map_err(|e| cite_err(e.to_string()))?;
         let Some(m) = m.filter(|m| !m.datasets.is_empty()) else {
             self.say("no datasets registered");
             return Ok(());
@@ -1230,16 +1213,10 @@ impl Interpreter {
     /// anchor when one covers them). Any issue is a citation-kind error
     /// naming every failure.
     fn cmd_dataset_verify(&mut self, manifest: Option<&str>) -> Result<(), CmdError> {
-        let path = match manifest {
-            Some(p) => PathBuf::from(p),
-            None => match self.shared.lock().store.data_dir() {
-                Some(d) => d.join(MANIFEST_FILE),
-                None => {
-                    return Err(parse_err(
-                        "no durable data directory: pass dataset verify '<manifest>'",
-                    ))
-                }
-            },
+        let Some(path) = manifest_path(self.shared.lock().store.data_dir(), manifest) else {
+            return Err(parse_err(
+                "no durable data directory: pass dataset verify '<manifest>'",
+            ));
         };
         let m = DatasetManifest::load(&path)
             .map_err(|e| cite_err(e.to_string()))?
@@ -1900,40 +1877,6 @@ cite Q(B) :- S(B)
         let stats = plan_stats(&interp);
         assert_eq!(stats.misses, 2, "paper query + the parameterized shape");
         assert!(stats.hits >= 3, "λ-variants must share one plan: {stats:?}");
-    }
-
-    #[test]
-    fn export_import_plans_round_trip() {
-        let mut warm = Interpreter::new();
-        warm.run(PAPER_SCRIPT).unwrap();
-        let exported = warm.shared().lock().store().export_plans();
-        assert!(exported.starts_with("citesys-plan-cache v1"));
-
-        // A second session with the same views: imported plans serve the
-        // cite without a fresh search.
-        let setup_only: String = PAPER_SCRIPT
-            .lines()
-            .filter(|l| !l.starts_with("cite ") && !l.starts_with("verify"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let mut cold = Interpreter::new();
-        cold.run(&setup_only).unwrap();
-        let n = cold
-            .shared()
-            .lock()
-            .store()
-            .import_plans(&exported)
-            .unwrap();
-        assert_eq!(n, 1);
-        cold.run_line("cite Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)")
-            .unwrap();
-        let stats = plan_stats(&cold);
-        assert_eq!((stats.hits, stats.misses), (1, 0), "served from import");
-    }
-
-    #[test]
-    fn corrupt_plan_import_is_rejected() {
-        assert!(Store::new().import_plans("garbage").is_err());
     }
 
     #[test]

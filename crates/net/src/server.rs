@@ -229,12 +229,6 @@ impl Server {
         self.transport.open_connections()
     }
 
-    /// True once a `shutdown` command (or [`stop`](Self::stop)) was
-    /// issued.
-    pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Blocks until a client issues `shutdown`, then tears down.
     pub fn wait(mut self) {
         self.teardown();

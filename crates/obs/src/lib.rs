@@ -193,11 +193,6 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all observed values, microseconds.
-    pub fn sum_micros(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
-    }
-
     /// A consistent-enough copy for rendering and percentile math
     /// (buckets are read individually; a racing observation may land
     /// between reads, which scraping tolerates by design).

@@ -65,16 +65,9 @@ pub fn parse_csv_header(name: &str, header: &[String]) -> Result<Vec<Attribute>,
                 .ok_or_else(|| StorageError::UnknownRelation {
                     name: format!("{name}: header cell '{cell}' lacks ':type'"),
                 })?;
-        let ty = match ty {
-            "int" => ValueType::Int,
-            "text" => ValueType::Text,
-            "bool" => ValueType::Bool,
-            other => {
-                return Err(StorageError::UnknownRelation {
-                    name: format!("{name}: unknown type '{other}'"),
-                })
-            }
-        };
+        let ty: ValueType = ty.parse().map_err(|e| StorageError::UnknownRelation {
+            name: format!("{name}: {e}"),
+        })?;
         if attrs.iter().any(|a| a.name.as_str() == attr_name) {
             return Err(StorageError::DuplicateColumn {
                 relation: name.to_string(),

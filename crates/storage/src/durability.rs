@@ -33,19 +33,17 @@
 //! `RewritePlan::from_text`.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use citesys_cq::{Value, ValueType};
-
 use crate::database::Database;
 use crate::delta::Changeset;
 use crate::fixity::{sha256, Digest};
-use crate::schema::{Attribute, RelationSchema};
-use crate::tuple::Tuple;
+use crate::schema::RelationSchema;
+use crate::tuple::{read_ground_atom, write_ground_atom, Tuple};
 use crate::versioned::{Op, VersionedDatabase};
 
 /// The on-disk format version this build reads and writes. Bump it when
@@ -141,7 +139,7 @@ fn sync_parent_dir(path: &Path) -> Result<(), DurabilityError> {
 }
 
 // ---------------------------------------------------------------------------
-// Ground-atom text codec (shared by the WAL and checkpoint sections)
+// Changeset text codec (the WAL and `citesys wal dump`)
 // ---------------------------------------------------------------------------
 
 /// Trims one trailing carriage return (CRLF tolerance, mirroring
@@ -150,116 +148,22 @@ fn trim_cr(line: &str) -> &str {
     line.strip_suffix('\r').unwrap_or(line)
 }
 
-/// Renders `rel(v1, v2, …)` so that [`parse_ground_atom`] reads it back
-/// exactly: text is always single-quoted with `\` escapes, so values
-/// containing commas, quotes or `#` round-trip. Newlines and carriage
-/// returns are escaped as `\n`/`\r` — unlike the surface parser, the
-/// store can hold them (CSV bulk loads accept embedded newlines), and
-/// a raw newline would break every line-oriented durable format.
-pub fn format_ground_atom(rel: &str, t: &Tuple) -> String {
-    let mut out = String::from(rel);
-    out.push('(');
-    for (i, v) in t.values().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        match v {
-            Value::Int(n) => out.push_str(&n.to_string()),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Text(s) => {
-                out.push('\'');
-                for c in s.as_str().chars() {
-                    match c {
-                        '\'' | '\\' => {
-                            out.push('\\');
-                            out.push(c);
-                        }
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        other => out.push(other),
-                    }
-                }
-                out.push('\'');
-            }
-        }
-    }
-    out.push(')');
-    out
-}
-
-/// Parses `Rel(v1, v2, …)` with int / quoted-text / bool values — the
-/// persistence twin of the wire protocol's ground-atom parser.
-pub fn parse_ground_atom(input: &str) -> Result<(String, Tuple), String> {
-    let (name, after) = input
-        .split_once('(')
-        .ok_or_else(|| format!("expected Rel(values…), got '{input}'"))?;
-    let inner = after
-        .trim_end()
-        .strip_suffix(')')
-        .ok_or_else(|| format!("missing ')' in '{input}'"))?;
-    let mut values = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        let (v, remainder) = parse_value(rest)?;
-        values.push(v);
-        rest = remainder.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err(format!("expected ',' before '{rest}'"));
-        }
-    }
-    Ok((name.trim().to_string(), Tuple::new(values)))
-}
-
-fn parse_value(input: &str) -> Result<(Value, &str), String> {
-    let input = input.trim_start();
-    if let Some(rest) = input.strip_prefix('\'') {
-        let mut out = String::new();
-        let mut chars = rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => {
-                    if let Some((_, n)) = chars.next() {
-                        out.push(match n {
-                            'n' => '\n',
-                            'r' => '\r',
-                            other => other,
-                        });
-                    }
-                }
-                '\'' => return Ok((Value::from(out), &rest[i + 1..])),
-                other => out.push(other),
-            }
-        }
-        Err("unterminated string".into())
-    } else if let Some(rest) = input.strip_prefix("true") {
-        Ok((Value::Bool(true), rest))
-    } else if let Some(rest) = input.strip_prefix("false") {
-        Ok((Value::Bool(false), rest))
-    } else {
-        let end = input
-            .find(|c: char| c == ',' || c.is_whitespace())
-            .unwrap_or(input.len());
-        let n: i64 = input[..end]
-            .parse()
-            .map_err(|_| format!("bad value '{}'", &input[..end]))?;
-        Ok((Value::Int(n), &input[end..]))
-    }
-}
-
-fn format_op(op: &Op) -> String {
-    match op {
-        Op::Insert(rel, t) => format!("i {}", format_ground_atom(rel.as_str(), t)),
-        Op::Delete(rel, t) => format!("d {}", format_ground_atom(rel.as_str(), t)),
-    }
+/// Appends one `i Rel(v, …)` / `d Rel(v, …)` line.
+fn write_op(out: &mut String, op: &Op) {
+    let (tag, rel, t) = match op {
+        Op::Insert(rel, t) => ("i ", rel, t),
+        Op::Delete(rel, t) => ("d ", rel, t),
+    };
+    out.push_str(tag);
+    write_ground_atom(out, rel.as_str(), t);
+    out.push('\n');
 }
 
 fn parse_op(line: &str) -> Result<Op, String> {
     let (tag, rest) = line
         .split_once(' ')
         .ok_or_else(|| format!("bad op line '{line}'"))?;
-    let (rel, t) = parse_ground_atom(rest)?;
+    let (rel, t) = read_ground_atom(rest)?;
     match tag {
         "i" => Ok(Op::Insert(citesys_cq::Symbol::new(rel), t)),
         "d" => Ok(Op::Delete(citesys_cq::Symbol::new(rel), t)),
@@ -273,8 +177,7 @@ impl Changeset {
     pub fn to_text(&self) -> String {
         let mut out = String::from("citesys-changeset v1\n");
         for op in self.ops() {
-            out.push_str(&format_op(op));
-            out.push('\n');
+            write_op(&mut out, op);
         }
         out
     }
@@ -303,87 +206,15 @@ impl Changeset {
 // Database text codec (checkpoint sections)
 // ---------------------------------------------------------------------------
 
-fn format_schema(s: &RelationSchema) -> String {
-    let mut out = format!("schema {}(", s.name);
-    for (i, a) in s.attributes.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{}:{}", a.name, a.ty));
-    }
-    out.push(')');
-    if !s.key.is_empty() {
-        out.push_str(" key(");
-        for (i, k) in s.key.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&k.to_string());
-        }
-        out.push(')');
-    }
-    out
-}
-
-fn parse_schema(rest: &str) -> Result<RelationSchema, String> {
-    let (name, after) = rest
-        .split_once('(')
-        .ok_or_else(|| format!("expected Name(attr:type, …), got '{rest}'"))?;
-    let (attrs_str, tail) = after
-        .split_once(')')
-        .ok_or_else(|| format!("missing ')' in '{rest}'"))?;
-    let mut attrs = Vec::new();
-    for part in attrs_str.split(',') {
-        let (n, t) = part
-            .trim()
-            .split_once(':')
-            .ok_or_else(|| format!("attribute '{part}' lacks ':type'"))?;
-        let ty = match t.trim() {
-            "int" => ValueType::Int,
-            "text" => ValueType::Text,
-            "bool" => ValueType::Bool,
-            other => return Err(format!("unknown type '{other}'")),
-        };
-        attrs.push(Attribute::new(n.trim(), ty));
-    }
-    let mut key = Vec::new();
-    let tail = tail.trim();
-    if let Some(k) = tail.strip_prefix("key(") {
-        let inner = k
-            .strip_suffix(')')
-            .ok_or_else(|| format!("missing ')' in key of '{rest}'"))?;
-        for idx in inner.split(',') {
-            let i: usize = idx
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad key position '{idx}'"))?;
-            if i >= attrs.len() {
-                return Err(format!("key position {i} out of range"));
-            }
-            key.push(i);
-        }
-    } else if !tail.is_empty() {
-        return Err(format!("unexpected trailing input: '{tail}'"));
-    }
-    Ok(RelationSchema::new(name.trim(), attrs, key))
-}
-
 /// Serializes a database — schemas and tuples — to the line-oriented
 /// text form [`database_from_text`] reads back. Used for both the base
 /// database and the materialized-view checkpoint sections.
 pub fn database_to_text(db: &Database) -> String {
     let mut out = String::from("citesys-database v1\n");
     for (_, rel) in db.relations() {
-        out.push_str(&format_schema(rel.schema()));
-        out.push('\n');
+        let _ = writeln!(out, "schema {}", rel.schema());
     }
-    for (name, rel) in db.relations() {
-        for t in rel.scan() {
-            out.push_str("t ");
-            out.push_str(&format_ground_atom(name.as_str(), t));
-            out.push('\n');
-        }
-    }
+    write_tuples(&mut out, db);
     out
 }
 
@@ -401,11 +232,11 @@ pub fn database_from_text(text: &str) -> Result<Database, String> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("schema ") {
-            db.create_relation(parse_schema(rest)?)
+            db.create_relation(RelationSchema::parse(rest)?)
                 .map_err(|e| e.to_string())?;
         } else if let Some(rest) = line.strip_prefix("t ") {
-            let (rel, t) = parse_ground_atom(rest)?;
-            db.insert(&rel, t).map_err(|e| e.to_string())?;
+            let (rel, t) = read_ground_atom(rest)?;
+            db.insert(rel, t).map_err(|e| e.to_string())?;
         } else {
             return Err(format!("unexpected database line '{line}'"));
         }
@@ -424,17 +255,21 @@ pub fn versioned_to_text(store: &VersionedDatabase) -> Result<String, String> {
     // creation-order source of truth (and cover relations the snapshot
     // may render empty).
     for s in store.schemas() {
-        out.push_str(&format_schema(s));
-        out.push('\n');
+        let _ = writeln!(out, "schema {s}");
     }
-    for (name, rel) in snapshot.relations() {
+    write_tuples(&mut out, &snapshot);
+    Ok(out)
+}
+
+/// Appends one `t Rel(v, …)` line per stored tuple.
+fn write_tuples(out: &mut String, db: &Database) {
+    for (name, rel) in db.relations() {
         for t in rel.scan() {
             out.push_str("t ");
-            out.push_str(&format_ground_atom(name.as_str(), t));
+            write_ground_atom(out, name.as_str(), t);
             out.push('\n');
         }
     }
-    Ok(out)
 }
 
 /// Parses text produced by [`versioned_to_text`] into a warm-restarted
@@ -454,15 +289,15 @@ pub fn versioned_from_text(text: &str) -> Result<VersionedDatabase, String> {
         .parse()
         .map_err(|_| "bad version number".to_string())?;
     let mut schemas = Vec::new();
-    let mut tuples: Vec<(String, Tuple)> = Vec::new();
+    let mut tuples: Vec<(&str, Tuple)> = Vec::new();
     for line in lines {
         if line.trim().is_empty() {
             continue;
         }
         if let Some(rest) = line.strip_prefix("schema ") {
-            schemas.push(parse_schema(rest)?);
+            schemas.push(RelationSchema::parse(rest)?);
         } else if let Some(rest) = line.strip_prefix("t ") {
-            tuples.push(parse_ground_atom(rest)?);
+            tuples.push(read_ground_atom(rest)?);
         } else {
             return Err(format!("unexpected versioned line '{line}'"));
         }
@@ -472,7 +307,7 @@ pub fn versioned_from_text(text: &str) -> Result<VersionedDatabase, String> {
         base.create_relation(s.clone()).map_err(|e| e.to_string())?;
     }
     for (rel, t) in tuples {
-        base.insert(&rel, t).map_err(|e| e.to_string())?;
+        base.insert(rel, t).map_err(|e| e.to_string())?;
     }
     VersionedDatabase::restore(schemas, base, version).map_err(|e| e.to_string())
 }
@@ -810,8 +645,7 @@ impl Wal {
     pub fn append(&mut self, version: u64, changes: &Changeset) -> Result<(), DurabilityError> {
         let mut buf = format!("record {version} {}\n", changes.len());
         for op in changes.ops() {
-            buf.push_str(&format_op(op));
-            buf.push('\n');
+            write_op(&mut buf, op);
         }
         buf.push_str(&format!("end {version}\n"));
         self.file
@@ -1401,6 +1235,7 @@ pub fn summarize_database(db: &Database) -> BTreeMap<String, usize> {
 mod tests {
     use super::*;
     use crate::tuple;
+    use citesys_cq::ValueType;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()

@@ -226,74 +226,6 @@ pub fn evaluate(db: &Database, q: &ConjunctiveQuery) -> Result<QueryAnswer, Stor
     Ok(QueryAnswer { rows })
 }
 
-/// One step of an [`explain`] plan.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PlanStep {
-    /// The atom joined at this step.
-    pub atom: String,
-    /// Relation cardinality at planning time.
-    pub cardinality: usize,
-    /// Access path: `Some(col)` = hash-index probe on that column,
-    /// `None` = full scan.
-    pub probe_column: Option<usize>,
-}
-
-/// Explains the greedy join order the evaluator would choose for `q`
-/// (static simulation: a variable counts as bound once any earlier atom
-/// mentions it).
-pub fn explain(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<PlanStep>, StorageError> {
-    for atom in &q.body {
-        let rel = db.relation(atom.predicate.as_str())?;
-        if rel.schema().arity() != atom.arity() {
-            return Err(StorageError::QueryArityMismatch {
-                relation: atom.predicate.to_string(),
-                expected: rel.schema().arity(),
-                got: atom.arity(),
-            });
-        }
-    }
-    let mut bound: std::collections::BTreeSet<Symbol> = std::collections::BTreeSet::new();
-    let mut remaining: Vec<usize> = (0..q.body.len()).collect();
-    let mut plan = Vec::with_capacity(q.body.len());
-    while !remaining.is_empty() {
-        let (pick, _) = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, &ai)| {
-                let atom = &q.body[ai];
-                let bound_terms = atom
-                    .terms
-                    .iter()
-                    .filter(|t| match t {
-                        Term::Const(_) => true,
-                        Term::Var(v) => bound.contains(v),
-                    })
-                    .count();
-                let size = db
-                    .relation(atom.predicate.as_str())
-                    .map(Relation::len)
-                    .unwrap_or(usize::MAX);
-                (i, (usize::MAX - bound_terms, size))
-            })
-            .min_by_key(|&(_, k)| k)
-            .expect("remaining non-empty");
-        let ai = remaining.swap_remove(pick);
-        let atom = &q.body[ai];
-        let rel = db.relation(atom.predicate.as_str())?;
-        let probe_column = atom.terms.iter().position(|t| match t {
-            Term::Const(_) => true,
-            Term::Var(v) => bound.contains(v),
-        });
-        plan.push(PlanStep {
-            atom: atom.to_string(),
-            cardinality: rel.len(),
-            probe_column,
-        });
-        bound.extend(atom.vars().cloned());
-    }
-    Ok(plan)
-}
-
 /// Tries to extend binding `b` so that `atom` matches stored tuple `t`.
 fn extend(b: &Binding, atom: &citesys_cq::Atom, t: &Tuple) -> Option<Binding> {
     let mut out = b.clone();
@@ -500,39 +432,6 @@ mod tests {
         let p = b.project(&[Symbol::new("FID")]).unwrap();
         assert_eq!(p.arity(), 1);
         assert!(b.project(&[Symbol::new("Missing")]).is_none());
-    }
-
-    #[test]
-    fn explain_shows_greedy_order() {
-        let db = paper_db();
-        // FamilyIntro (2 rows) before Family (3 rows); the second step
-        // probes the shared FID column.
-        let q =
-            parse_query("Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)").unwrap();
-        let plan = explain(&db, &q).unwrap();
-        assert_eq!(plan.len(), 2);
-        assert!(plan[0].atom.starts_with("FamilyIntro"));
-        assert_eq!(plan[0].probe_column, None, "first atom scans");
-        assert!(plan[1].atom.starts_with("Family"));
-        assert_eq!(plan[1].probe_column, Some(0), "joins via FID index");
-    }
-
-    #[test]
-    fn explain_prefers_constants() {
-        let db = paper_db();
-        let q = parse_query("Q(N) :- Family(11, N, D)").unwrap();
-        let plan = explain(&db, &q).unwrap();
-        assert_eq!(plan[0].probe_column, Some(0), "constant column probed");
-    }
-
-    #[test]
-    fn explain_validates_arity() {
-        let db = paper_db();
-        let q = parse_query("Q(X) :- Family(X)").unwrap();
-        assert!(matches!(
-            explain(&db, &q),
-            Err(StorageError::QueryArityMismatch { .. })
-        ));
     }
 
     #[test]

@@ -59,9 +59,9 @@ pub use durability::{
     MemStore, Recovery, Wal, WalRecord, ANCHORS_DIR, FORMAT_VERSION,
 };
 pub use error::StorageError;
-pub use eval::{evaluate, explain, AnswerRow, Binding, PlanStep, QueryAnswer};
+pub use eval::{evaluate, AnswerRow, Binding, QueryAnswer};
 pub use fixity::{digest_answer, digest_database, sha256, Digest, Sha256};
 pub use relation::Relation;
 pub use schema::{Attribute, RelationSchema};
-pub use tuple::Tuple;
+pub use tuple::{read_ground_atom, write_ground_atom, Tuple};
 pub use versioned::{Op, VersionedDatabase};

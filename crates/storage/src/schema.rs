@@ -1,5 +1,7 @@
 //! Relation schemas and the database catalog.
 
+use std::fmt;
+
 use citesys_cq::{Symbol, ValueType};
 
 /// A named, typed attribute of a relation.
@@ -72,6 +74,65 @@ impl RelationSchema {
     pub fn has_key(&self) -> bool {
         !self.key.is_empty()
     }
+
+    /// Reads `Name(attr:type, …) [key(i, …)]` — the text of a `schema`
+    /// command line and of a checkpoint's schema lines, as
+    /// [`Display`](fmt::Display) writes it.
+    pub fn parse(text: &str) -> Result<RelationSchema, String> {
+        let (name, after) = text
+            .split_once('(')
+            .ok_or_else(|| format!("expected Name(attr:type, …), got '{text}'"))?;
+        let (attrs_str, tail) = after
+            .split_once(')')
+            .ok_or_else(|| format!("missing ')' in '{text}'"))?;
+        let mut attrs = Vec::new();
+        for part in attrs_str.split(',') {
+            let (n, t) = part
+                .trim()
+                .split_once(':')
+                .ok_or_else(|| format!("attribute '{part}' lacks ':type'"))?;
+            attrs.push(Attribute::new(n.trim(), t.trim().parse()?));
+        }
+        let mut key = Vec::new();
+        let tail = tail.trim();
+        if let Some(k) = tail.strip_prefix("key(") {
+            let inner = k
+                .strip_suffix(')')
+                .ok_or_else(|| format!("missing ')' in key of '{text}'"))?;
+            for idx in inner.split(',') {
+                let i: usize = idx
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("bad key position '{idx}'"))?;
+                if i >= attrs.len() {
+                    return Err(format!("key position {i} out of range"));
+                }
+                key.push(i);
+            }
+        } else if !tail.is_empty() {
+            return Err(format!("unexpected trailing input: '{tail}'"));
+        }
+        Ok(RelationSchema::new(name.trim(), attrs, key))
+    }
+}
+
+impl fmt::Display for RelationSchema {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}(", self.name)?;
+        for (i, a) in self.attributes.iter().enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            write!(f, "{sep}{}:{}", a.name, a.ty)?;
+        }
+        f.write_str(")")?;
+        for (i, k) in self.key.iter().enumerate() {
+            let sep = if i > 0 { ", " } else { " key(" };
+            write!(f, "{sep}{k}")?;
+        }
+        if self.has_key() {
+            f.write_str(")")?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -108,6 +169,29 @@ mod tests {
             &[0, 1],
         );
         assert_eq!(s.key.len(), 2);
+    }
+
+    #[test]
+    fn text_round_trips() {
+        let s = family();
+        assert_eq!(
+            s.to_string(),
+            "Family(FID:int, FName:text, Desc:text) key(0)"
+        );
+        assert_eq!(RelationSchema::parse(&s.to_string()).unwrap(), s);
+        let log = RelationSchema::parse(" Log( Msg : text ) ").unwrap();
+        assert_eq!(log.to_string(), "Log(Msg:text)");
+        for bad in [
+            "R",
+            "R(A:int",
+            "R(A)",
+            "R(A:float)",
+            "R(A:int) key(1)",
+            "R(A:int) key(0",
+            "R(A:int) extra",
+        ] {
+            assert!(RelationSchema::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

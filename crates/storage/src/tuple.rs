@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use citesys_cq::Value;
+use citesys_cq::{scan_value, write_value, Value};
 
 /// An immutable database tuple.
 ///
@@ -78,6 +78,57 @@ impl FromIterator<Value> for Tuple {
     }
 }
 
+/// Reads a ground atom `Rel(v1, v2, …)` — the form of `insert`/`delete`
+/// command lines and of the WAL, changeset and checkpoint text — into
+/// its relation name and tuple. Values follow the one literal grammar
+/// ([`citesys_cq::literal`]); nothing but whitespace may follow the `)`.
+pub fn read_ground_atom(input: &str) -> Result<(&str, Tuple), String> {
+    let (name, mut rest) = input
+        .split_once('(')
+        .ok_or_else(|| format!("expected Rel(values…), got '{input}'"))?;
+    let mut values = Vec::new();
+    rest = rest.trim_start();
+    if let Some(after) = rest.strip_prefix(')') {
+        rest = after;
+    } else {
+        loop {
+            let (v, after) = scan_value(rest)?;
+            values.push(v);
+            let after = after.trim_start();
+            if let Some(after) = after.strip_prefix(',') {
+                rest = after;
+            } else if let Some(after) = after.strip_prefix(')') {
+                rest = after;
+                break;
+            } else if after.is_empty() {
+                return Err(format!("missing ')' in '{input}'"));
+            } else {
+                return Err(format!("expected ',' or ')' before '{after}'"));
+            }
+        }
+    }
+    if !rest.trim().is_empty() {
+        return Err(format!("unexpected trailing input: '{}'", rest.trim()));
+    }
+    Ok((name.trim(), Tuple::new(values)))
+}
+
+/// Appends `rel(v1, v2, …)` to `out` so that [`read_ground_atom`] reads
+/// it back equal: text is single-quoted with `\\`, `\'`, `\n` and `\r`
+/// escaped, so the atom always stays on one line.
+pub fn write_ground_atom(out: &mut String, rel: &str, t: &Tuple) {
+    out.push_str(rel);
+    out.push('(');
+    for (i, v) in t.values().iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        // Writing into a `String` cannot fail.
+        let _ = write_value(out, v);
+    }
+    out.push(')');
+}
+
 /// Builds a tuple from heterogeneous literals, e.g.
 /// `tuple![11, "Calcitonin", "C1"]`.
 #[macro_export]
@@ -112,6 +163,24 @@ mod tests {
         let t = tuple![1, "a"];
         assert_eq!(t.to_string(), "(1, a)");
         assert_eq!(format!("{t:?}"), "(1, \"a\")");
+    }
+
+    #[test]
+    fn ground_atoms_round_trip() {
+        let t = tuple![1, "a'b\\c\nd\re\tf, #g", true, -5];
+        let mut text = String::new();
+        write_ground_atom(&mut text, "R", &t);
+        assert_eq!(text, "R(1, 'a\\'b\\\\c\\nd\\re\tf, #g', true, -5)");
+        assert_eq!(read_ground_atom(&text).unwrap(), ("R", t));
+        assert_eq!(
+            read_ground_atom(" Z( ) ").unwrap(),
+            ("Z", Tuple::new(Vec::<Value>::new()))
+        );
+        for bad in [
+            "R(1", "R(1 2)", "R('open)", "R(1,)", "R(1) x", "R(bogus)", "R",
+        ] {
+            assert!(read_ground_atom(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@ use citesys::net::script::{
 };
 use citesys::net::server::{Server, ServerConfig};
 use citesys_core::CitationService;
+use citesys_cq::write_quoted;
 use citesys_storage::Wal;
 
 /// Why a subcommand failed: one variant per non-zero exit code, each
@@ -206,6 +207,8 @@ fn usage() -> String {
      snapshot [@ <version>]   print the sha256 fixity digest of a version\n  \
      compact [<window>]       trim history to the newest <window> versions\n  \
      quit / shutdown (interactive and network sessions)\n\n\
+     constants: '…' or \"…\" strings (escapes \\n \\r \\t, any other \\x is x),\n\
+     integers, true / false; '#' starts a comment outside quotes\n\n\
      exit codes: 0 ok, 1 i/o error, 2 usage, 3 script parse error, 4 citation error,\n\
      5 requested history was compacted away, 6 dataset verification failed"
         .to_string()
@@ -727,27 +730,17 @@ fn ingest_cmd(args: &[String]) -> Result<(), AppError> {
         };
         parsed.map_err(|e| AppError::Usage(format!("{e}\n{INGEST_USAGE}")))?;
     }
-    // The script grammar quotes paths with single quotes; a path
-    // containing one cannot round-trip through the command line.
-    for (what, value) in [
-        ("dump directory", Some(dump_dir)),
-        ("manifest", manifest.as_ref()),
-    ] {
-        if value.is_some_and(|v| v.contains('\'')) {
-            return Err(AppError::Usage(format!(
-                "{what} path must not contain a single quote\n{INGEST_USAGE}"
-            )));
-        }
-    }
     let shared = SharedStore::open_durable_shared_with_retention(data_dir, 0)
         .map_err(|e| AppError::Io(format!("{data_dir}: {e}")))?;
     let mut interp = Interpreter::with_store(shared);
-    let mut line = format!("ingest '{dump_dir}'");
+    let mut line = String::from("ingest ");
+    let _ = write_quoted(&mut line, dump_dir);
     if let Some(name) = &dataset {
         line.push_str(&format!(" as {name}"));
     }
     if let Some(m) = &manifest {
-        line.push_str(&format!(" manifest '{m}'"));
+        line.push_str(" manifest ");
+        let _ = write_quoted(&mut line, m);
     }
     if let Some(n) = batch {
         line.push_str(&format!(" batch {n}"));
@@ -772,20 +765,16 @@ fn dataset_cmd(args: &[String]) -> Result<(), AppError> {
         [dir, flag, m] if flag == "--manifest" => (dir, Some(m.as_str())),
         _ => return Err(AppError::Usage(DATASET_USAGE.into())),
     };
-    if manifest.is_some_and(|m| m.contains('\'')) {
-        return Err(AppError::Usage(format!(
-            "manifest path must not contain a single quote\n{DATASET_USAGE}"
-        )));
-    }
     // Unbounded retention: verification must not discard time-travel
     // anchors its fixity re-digest may need to reach a pinned version.
     let shared = SharedStore::open_durable_shared_with_retention(dir, usize::MAX)
         .map_err(|e| AppError::Io(format!("{dir}: {e}")))?;
     let mut interp = Interpreter::with_store(shared);
-    let line = match manifest {
-        Some(m) => format!("dataset verify '{m}'"),
-        None => "dataset verify".to_string(),
-    };
+    let mut line = String::from("dataset verify");
+    if let Some(m) = manifest {
+        line.push(' ');
+        let _ = write_quoted(&mut line, m);
+    }
     let reply = interp.run_session_line(&line).map_err(|e| {
         let message = format!("{dir}: {}", e.message);
         if e.kind == ScriptErrorKind::Citation

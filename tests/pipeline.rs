@@ -1,9 +1,8 @@
 //! Full-pipeline integration: CSV interchange → script interpreter →
-//! citation → dump → fixity verification, plus plan explanation.
+//! citation → dump → fixity verification.
 
-use citesys::cq::parse_query;
 use citesys::script::Interpreter;
-use citesys::storage::{evaluate, explain, from_csv, load_csv, to_csv, Database};
+use citesys::storage::{from_csv, load_csv, to_csv, Database};
 
 /// CSV → database → CSV round trip preserves the digest, and a script can
 /// load the produced CSV.
@@ -50,31 +49,6 @@ fn csv_script_round_trip() {
     // The dump matches the original export byte-for-byte.
     assert!(out.contains(exported.trim_end()));
     let _ = std::fs::remove_file(&path);
-}
-
-/// The explain plan and actual evaluation agree on feasibility, and plans
-/// prefer indexed probes after the first atom.
-#[test]
-fn explain_matches_evaluation_feasibility() {
-    let db = citesys::gtopdb::generate(&citesys::gtopdb::GtopdbConfig::default());
-    let queries = [
-        "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)",
-        "Q(TName, LName) :- Target(TID, TName, F), Interaction(TID, LID, A), Ligand(LID, LName, T)",
-        "Q(N) :- Family(3, N, D)",
-    ];
-    for src in queries {
-        let q = parse_query(src).unwrap();
-        let plan = explain(&db, &q).unwrap();
-        assert_eq!(plan.len(), q.body.len(), "{src}");
-        // Every step after the first must probe an index (these queries are
-        // connected joins).
-        for step in &plan[1..] {
-            assert!(step.probe_column.is_some(), "{src}: {step:?}");
-        }
-        // The query actually evaluates.
-        let a = evaluate(&db, &q).unwrap();
-        assert!(!a.is_empty(), "{src}");
-    }
 }
 
 /// Scripted partial citation over a narrow view produces CSL-JSON with the
