@@ -23,11 +23,13 @@
 //! rewrite plans and materialized views across calls over the free
 //! functions in this module.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use citesys_cq::{ConjunctiveQuery, Symbol, Term, Value, ValueType};
 use citesys_rewrite::{rewrite, RewritePlan, RewriteStats, Rewriting};
+use citesys_storage::plan::CompiledQuery;
 use citesys_storage::{evaluate, Attribute, Binding, Database, QueryAnswer, RelationSchema, Tuple};
 
 use crate::error::CiteError;
@@ -36,7 +38,7 @@ use crate::policy::{
     atoms_for_tuple, choose_rewriting, AggPolicy, JointPolicy, PolicySet, RewritingChoice,
 };
 use crate::registry::CitationRegistry;
-use crate::snippet::CitationSnippet;
+use crate::snippet::{CitationQuery, CitationSnippet};
 
 /// How the engine handles multiple rewritings.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -297,20 +299,29 @@ impl AtomInterner {
 enum Factor<'r> {
     /// An unparameterized view: the same atom for every binding.
     Fixed(AtomId),
-    /// A λ-parameterized view: the atom's parameters are the binding's
-    /// values of these terms.
+    /// A λ-parameterized view: the atom's parameters are these cells,
+    /// read from each binding.
     Param {
         view: &'r Symbol,
         slot: usize,
-        terms: Vec<&'r Term>,
+        cells: Vec<ParamCell<'r>>,
     },
 }
 
+/// One λ-parameter of a view atom: a constant of the rewriting, or the
+/// binding slot of one of its variables.
+enum ParamCell<'r> {
+    Const(&'r Value),
+    Slot(usize),
+}
+
 /// The factors of `r`'s body atoms, with unparameterized atoms interned
-/// once for the whole rewriting.
+/// once for the whole rewriting and every λ-term resolved to a slot of
+/// `plan`, the rewriting's compiled query.
 fn factors<'r>(
     registry: &CitationRegistry,
     r: &'r Rewriting,
+    plan: &CompiledQuery<'_>,
     interner: &mut AtomInterner,
 ) -> Result<Vec<Factor<'r>>, CiteError> {
     r.query
@@ -330,9 +341,18 @@ fn factors<'r>(
                 return Ok(Factor::Fixed(interner.intern(slot, view, &[])));
             }
             // The view relation `r` was evaluated over has the view head's
-            // arity, so every head position is a term of `atom`.
-            let terms = positions.iter().map(|(_, pos)| &atom.terms[*pos]).collect();
-            Ok(Factor::Param { view, slot, terms })
+            // arity, so every head position is a term of `atom`; a variable
+            // of a body atom always has a slot.
+            let cells = positions
+                .iter()
+                .map(|(_, pos)| match &atom.terms[*pos] {
+                    Term::Const(c) => ParamCell::Const(c),
+                    Term::Var(v) => {
+                        ParamCell::Slot(plan.slot(v).expect("a body variable has a slot"))
+                    }
+                })
+                .collect();
+            Ok(Factor::Param { view, slot, cells })
         })
         .collect()
 }
@@ -344,27 +364,22 @@ fn binding_product(
     binding: &Binding,
     interner: &mut AtomInterner,
     params: &mut Vec<Value>,
-) -> Result<CiteExpr<AtomId>, CiteError> {
-    let mut ids = Vec::with_capacity(factors.len());
-    for factor in factors {
-        ids.push(CiteExpr::Atom(match factor {
+) -> CiteExpr<AtomId> {
+    let values = binding.values();
+    let ids = factors.iter().map(|factor| {
+        CiteExpr::Atom(match factor {
             Factor::Fixed(id) => *id,
-            Factor::Param { view, slot, terms } => {
+            Factor::Param { view, slot, cells } => {
                 params.clear();
-                for t in terms {
-                    params.push(binding.eval_term(t).ok_or_else(|| {
-                        CiteError::BadCitationView {
-                            view: view.to_string(),
-                            reason: "λ-parameter position not bound by the rewriting's binding"
-                                .to_string(),
-                        }
-                    })?);
-                }
+                params.extend(cells.iter().map(|cell| match cell {
+                    ParamCell::Const(c) => (*c).clone(),
+                    ParamCell::Slot(s) => values[*s].clone(),
+                }));
                 interner.intern(*slot, view, params)
             }
-        }));
-    }
-    Ok(CiteExpr::Prod(ids))
+        })
+    });
+    CiteExpr::Prod(ids.collect())
 }
 
 /// Steps 4–7 of the pipeline: evaluate the selected rewritings over the
@@ -405,8 +420,9 @@ pub(crate) fn cite_selected(
     let mut unmatched_tuples = 0;
     let mut params = Vec::new();
     for (ri, r) in selected.iter().enumerate() {
-        let ans = evaluate(view_db, &r.query)?;
-        let factors = factors(registry, r, &mut interner)?;
+        let plan = CompiledQuery::compile(view_db, &r.query)?;
+        let ans = plan.run();
+        let factors = factors(registry, r, &plan, &mut interner)?;
         // Both answers are sorted by tuple: one merge walk finds each
         // rewriting row's index in the base answer.
         let mut base = 0;
@@ -429,8 +445,8 @@ pub(crate) fn cite_selected(
             let mut product = |b| binding_product(&factors, b, &mut interner, &mut params);
             // A single binding is its own sum: skip the one-child `+` node.
             matrix[base][ri] = match row.bindings.as_slice() {
-                [binding] => product(binding)?,
-                bindings => CiteExpr::Sum(bindings.iter().map(product).collect::<Result<_, _>>()?),
+                [binding] => product(binding),
+                bindings => CiteExpr::Sum(bindings.iter().map(product).collect()),
             };
         }
     }
@@ -455,17 +471,16 @@ pub(crate) fn cite_selected(
         }
     };
 
-    let mut rendered: Vec<Option<Arc<CitationSnippet>>> = vec![None; atoms.len()];
+    let mut snippets = Snippets::new(db, registry, options, &atoms);
     let mut resolve = |id: AtomId| atoms[id as usize].clone();
     let mut tuples = Vec::with_capacity(answer.rows.len());
     for (row, branches) in answer.rows.iter().zip(matrix) {
         let ids = atoms_for_tuple(&options.policies, &branches, choice);
-        let snippets = render_atoms(db, registry, options, &ids, &atoms, &mut rendered)?;
         tuples.push(TupleCitation {
             tuple: row.tuple.clone(),
             branches: branches.into_iter().map(|b| b.map(&mut resolve)).collect(),
+            snippets: snippets.for_ids(&ids)?,
             atoms: ids.into_iter().map(resolve).collect(),
-            snippets,
         });
     }
 
@@ -473,11 +488,8 @@ pub(crate) fn cite_selected(
         AggPolicy::PerTupleOnly => None,
         AggPolicy::Union => {
             // The atoms some tuple cites are exactly the rendered ones.
-            let ids: BTreeSet<AtomId> = (0..)
-                .zip(&rendered)
-                .filter_map(|(id, s)| s.is_some().then_some(id))
-                .collect();
-            let snippets = render_atoms(db, registry, options, &ids, &atoms, &mut rendered)?;
+            let ids = snippets.rendered_ids();
+            let snippets = snippets.for_ids(&ids)?;
             Some(AggregateCitation {
                 atoms: ids.into_iter().map(resolve).collect(),
                 snippets,
@@ -536,60 +548,104 @@ pub(crate) fn cite_uncached(
     )
 }
 
-/// The snippets for a set of atom ids under the joint policy. Each atom is
-/// rendered on first use and its snippet shared from then on.
-fn render_atoms(
-    db: &Database,
-    registry: &CitationRegistry,
-    options: &EngineOptions,
-    ids: &BTreeSet<AtomId>,
-    atoms: &[CiteAtom],
-    rendered: &mut [Option<Arc<CitationSnippet>>],
-) -> Result<Vec<Arc<CitationSnippet>>, CiteError> {
-    let mut snippets = Vec::with_capacity(ids.len());
-    for &id in ids {
-        let slot = &mut rendered[id as usize];
-        let snippet = match slot {
-            Some(hit) => Arc::clone(hit),
-            None => {
-                Arc::clone(slot.insert(Arc::new(render_atom(db, registry, &atoms[id as usize])?)))
-            }
-        };
-        snippets.push(snippet);
-    }
-    if options.policies.joint == JointPolicy::Join && snippets.len() > 1 {
-        let mut merged = CitationSnippet::clone(&snippets[0]);
-        for s in &snippets[1..] {
-            merged.absorb(s);
-        }
-        merged.view = Symbol::new("joined");
-        merged.params = Vec::new();
-        snippets = vec![Arc::new(merged)];
-    }
-    Ok(snippets)
+/// The snippets of one cite's atoms. Each atom is rendered once, on first
+/// use, and its snippet shared from then on. Each view's citation queries
+/// are compiled once per cite, with the view's λ-variables as inputs, and
+/// run at each atom's parameter values.
+struct Snippets<'a> {
+    db: &'a Database,
+    registry: &'a CitationRegistry,
+    options: &'a EngineOptions,
+    atoms: &'a [CiteAtom],
+    rendered: Vec<Option<Arc<CitationSnippet>>>,
+    /// Per view, its citation queries' compiled plans.
+    plans: HashMap<&'a Symbol, Vec<CompiledQuery<'a>>>,
 }
 
-/// Instantiates and evaluates one view's citation queries at the atom's
-/// parameter values and renders the snippet.
-fn render_atom(
-    db: &Database,
-    registry: &CitationRegistry,
-    atom: &CiteAtom,
-) -> Result<CitationSnippet, CiteError> {
-    let cv = registry
-        .get(atom.view.as_str())
-        .ok_or_else(|| CiteError::BadCitationView {
-            view: atom.view.to_string(),
-            reason: "atom references unregistered view".to_string(),
-        })?;
-    let mut answers: Vec<(&[String], QueryAnswer)> = Vec::new();
-    for cq in &cv.citation_queries {
-        let inst = cq.query.instantiate(&atom.params)?;
-        let ans = evaluate(db, &inst)?;
-        answers.push((cq.fields.as_slice(), ans));
+impl<'a> Snippets<'a> {
+    fn new(
+        db: &'a Database,
+        registry: &'a CitationRegistry,
+        options: &'a EngineOptions,
+        atoms: &'a [CiteAtom],
+    ) -> Self {
+        Snippets {
+            db,
+            registry,
+            options,
+            atoms,
+            rendered: vec![None; atoms.len()],
+            plans: HashMap::new(),
+        }
     }
-    let borrowed: Vec<(&[String], &QueryAnswer)> = answers.iter().map(|(f, a)| (*f, a)).collect();
-    Ok(cv.function.render(&atom.view, &atom.params, &borrowed))
+
+    /// The ids of the atoms rendered so far, in order.
+    fn rendered_ids(&self) -> BTreeSet<AtomId> {
+        (0..)
+            .zip(&self.rendered)
+            .filter_map(|(id, s)| s.is_some().then_some(id))
+            .collect()
+    }
+
+    /// The snippets for a set of atom ids under the joint policy.
+    fn for_ids(&mut self, ids: &BTreeSet<AtomId>) -> Result<Vec<Arc<CitationSnippet>>, CiteError> {
+        let mut snippets = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let snippet = match &self.rendered[id as usize] {
+                Some(hit) => Arc::clone(hit),
+                None => {
+                    let snippet = Arc::new(self.render(&self.atoms[id as usize])?);
+                    Arc::clone(self.rendered[id as usize].insert(snippet))
+                }
+            };
+            snippets.push(snippet);
+        }
+        if self.options.policies.joint == JointPolicy::Join && snippets.len() > 1 {
+            let mut merged = CitationSnippet::clone(&snippets[0]);
+            for s in &snippets[1..] {
+                merged.absorb(s);
+            }
+            merged.view = Symbol::new("joined");
+            merged.params = Vec::new();
+            snippets = vec![Arc::new(merged)];
+        }
+        Ok(snippets)
+    }
+
+    /// Runs the atom's view's citation queries at the atom's parameter
+    /// values and renders the snippet.
+    fn render(&mut self, atom: &CiteAtom) -> Result<CitationSnippet, CiteError> {
+        let cv =
+            self.registry
+                .get(atom.view.as_str())
+                .ok_or_else(|| CiteError::BadCitationView {
+                    view: atom.view.to_string(),
+                    reason: "atom references unregistered view".to_string(),
+                })?;
+        let db = self.db;
+        let plans = match self.plans.entry(cv.view.name()) {
+            Entry::Occupied(hit) => hit.into_mut(),
+            Entry::Vacant(slot) => {
+                let compile = |cq: &'a CitationQuery| {
+                    CompiledQuery::compile_with_inputs(db, &cq.query, &cq.query.params)
+                };
+                let plans = cv.citation_queries.iter().map(compile);
+                slot.insert(plans.collect::<Result<_, _>>()?)
+            }
+        };
+        // The atom holds one value per λ-variable (the interner took them
+        // from the view's parameter positions), and the registry checked
+        // that every citation query has the view's λ-variables.
+        let answers: Vec<(&[String], QueryAnswer)> = cv
+            .citation_queries
+            .iter()
+            .zip(plans.iter())
+            .map(|(cq, plan)| (cq.fields.as_slice(), plan.run_with(&atom.params)))
+            .collect();
+        let borrowed: Vec<(&[String], &QueryAnswer)> =
+            answers.iter().map(|(f, a)| (*f, a)).collect();
+        Ok(cv.function.render(&atom.view, &atom.params, &borrowed))
+    }
 }
 
 /// Schema-level citation-size estimate of a rewriting (no data access

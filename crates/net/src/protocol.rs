@@ -376,9 +376,32 @@ fn parse_optional_quoted(s: &str, usage: &str) -> Result<Option<String>, ParseEr
     }
 }
 
+/// The `|`-separated clauses of a `view` or `cite` line. The leading rule
+/// and each `cite <rule>` clause end at the first `|` outside quoted
+/// strings, so `'x|y'` stays one constant. Bare clauses (`static k=v` and
+/// the cite options) end at the next `|` whatever they hold, so
+/// `static who=Bob's` keeps its apostrophe.
+fn clauses(line: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut rest = line.trim_start();
+    loop {
+        let end = if out.is_empty() || rest.starts_with("cite ") {
+            find_unquoted(rest, b'|')
+        } else {
+            rest.find('|')
+        };
+        let Some(i) = end else {
+            out.push(rest.trim());
+            return out;
+        };
+        out.push(rest[..i].trim());
+        rest = rest[i + 1..].trim_start();
+    }
+}
+
 // view <rule> | cite <rule> [| cite <rule>] [| static k=v]...
 fn parse_view(rest: &str) -> Result<ViewSpec, ParseError> {
-    let mut parts = rest.split('|').map(str::trim);
+    let mut parts = clauses(rest).into_iter();
     let view_rule = parts.next().ok_or_else(|| perr("missing view rule"))?;
     let view = parse_query(view_rule).map_err(|e| perr(e.to_string()))?;
     let mut cites = Vec::new();
@@ -441,7 +464,7 @@ fn split_as_of(rule: &str) -> Result<(&str, Option<u64>), ParseError> {
 
 // cite <rule> [@ <version>] [| format f] [| mode m] [| policy p] [| partial]
 fn parse_cite(rest: &str) -> Result<CiteSpec, ParseError> {
-    let mut parts = rest.split('|').map(str::trim);
+    let mut parts = clauses(rest).into_iter();
     let rule = parts.next().ok_or_else(|| perr("missing query"))?;
     let (rule, as_of) = split_as_of(rule)?;
     let query = parse_query(rule).map_err(|e| perr(e.to_string()))?;
@@ -497,19 +520,22 @@ fn parse_cite(rest: &str) -> Result<CiteSpec, ParseError> {
 /// `insert Note(1, 'bug #42')` survives intact. An unterminated string
 /// runs to the end of the line (the value parser then rejects it).
 pub fn strip_comment(raw: &str) -> &str {
-    let bytes = raw.as_bytes();
+    find_unquoted(raw, b'#').map_or(raw, |i| &raw[..i])
+}
+
+/// The index of the first `target` byte outside `'…'` and `"…"` strings;
+/// `None` when there is none before the end or an unterminated string.
+fn find_unquoted(s: &str, target: u8) -> Option<usize> {
+    let bytes = s.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
-            b'#' => return &raw[..i],
-            b'\'' | b'"' => match split_quoted(&raw[i..]) {
-                Some((_, rest)) => i = raw.len() - rest.len(),
-                None => return raw,
-            },
+            b if b == target => return Some(i),
+            b'\'' | b'"' => i = s.len() - split_quoted(&s[i..])?.1.len(),
             _ => i += 1,
         }
     }
-    raw
+    None
 }
 
 // ---------------------------------------------------------------------------
@@ -1177,6 +1203,56 @@ mod tests {
         };
         assert_eq!(spec.view.name(), "V");
         assert_eq!(spec.cites.len(), 1);
+    }
+
+    #[test]
+    fn quoted_bar_stays_inside_a_query_clause() {
+        let spec = match parse_command("cite Q(I) :- Note(I, 'x|y') | format json")
+            .unwrap()
+            .unwrap()
+        {
+            Command::Cite(spec) => spec,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(spec.query.to_string(), "Q(I) :- Note(I, 'x|y')");
+        assert_eq!(spec.format, CitationFormat::Json);
+        let spec = match parse_command(
+            r#"view V(A) :- R(A, "a|b") | cite CV(D) :- S(D, 'p|q') | static k=v"#,
+        )
+        .unwrap()
+        .unwrap()
+        {
+            Command::View(spec) => spec,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(spec.view.to_string(), "V(A) :- R(A, 'a|b')");
+        assert_eq!(spec.cites[0].query.to_string(), "CV(D) :- S(D, 'p|q')");
+        assert_eq!(spec.function.static_fields["k"], "v");
+    }
+
+    #[test]
+    fn bare_clauses_end_at_the_next_bar() {
+        // An apostrophe in a static value is text, not an open string: the
+        // clauses after it are still read.
+        let spec = match parse_command(
+            "view V(A) :- R(A) | static who=Bob's | cite CV(D) :- D = 'x' | static db=G",
+        )
+        .unwrap()
+        .unwrap()
+        {
+            Command::View(spec) => spec,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(spec.cites.len(), 1);
+        assert_eq!(spec.function.static_fields["who"], "Bob's");
+        assert_eq!(spec.function.static_fields["db"], "G");
+        assert_eq!(
+            clauses("Q(A) :- R(A) | mode pruned | partial"),
+            ["Q(A) :- R(A)", "mode pruned", "partial"]
+        );
+        // An unterminated string runs to the end; the query parser rejects it.
+        assert_eq!(clauses("Q(A) :- R('a|b"), ["Q(A) :- R('a|b"]);
+        assert!(parse_command("cite Q(A) :- R('a|b").is_err());
     }
 
     #[test]

@@ -6,71 +6,112 @@
 //! per binding, then bindings for the same output tuple are combined with
 //! the alternative operator `+`.
 //!
-//! Join processing is a straightforward bind-and-probe loop with a greedy
-//! join order (most bound variables first, smaller relations preferred) and
-//! per-column hash-index probes.
+//! [`evaluate`] compiles the query ([`crate::plan::CompiledQuery`]) and runs
+//! it. The compiled plan numbers the variables into slots in `Symbol` order,
+//! fixes the join order (most bound positions first, smaller relations on a
+//! tie) and each atom's hash-index probe column once, and joins over flat
+//! rows of slot values. A [`Binding`] is one such row beside the answer's
+//! shared variable table.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::fmt;
+use std::sync::Arc;
 
 use citesys_cq::{ConjunctiveQuery, Symbol, Term, Value};
 
 use crate::database::Database;
 use crate::error::StorageError;
-use crate::relation::Relation;
+use crate::plan::CompiledQuery;
 use crate::tuple::Tuple;
 
-/// A valuation of query variables (deterministically ordered).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
+/// A valuation of query variables: one value per variable, the variables
+/// in `Symbol` order. All bindings of one answer share one variable table,
+/// so a variable's slot — the index of its value in [`Binding::values`] —
+/// is the same in every binding of the answer.
+///
+/// Bindings compare as their `(variable, value)` sequences do.
+#[derive(Clone)]
 pub struct Binding {
-    map: BTreeMap<Symbol, Value>,
+    vars: Arc<[Symbol]>,
+    values: Box<[Value]>,
 }
 
 impl Binding {
-    /// The empty binding.
-    pub fn new() -> Self {
-        Self::default()
+    /// A binding of `vars` (sorted, distinct) to `values`, slot for slot.
+    pub(crate) fn from_slots(vars: Arc<[Symbol]>, values: Box<[Value]>) -> Self {
+        debug_assert_eq!(vars.len(), values.len());
+        Binding { vars, values }
     }
 
     /// Looks up a variable.
     pub fn get(&self, var: &Symbol) -> Option<&Value> {
-        self.map.get(var)
+        let slot = self.vars.binary_search(var).ok()?;
+        Some(&self.values[slot])
     }
 
-    /// Binds a variable (overwrites).
-    pub fn bind(&mut self, var: Symbol, v: Value) {
-        self.map.insert(var, v);
+    /// The values, one per variable in `Symbol` order: a variable's value
+    /// is at its slot ([`crate::plan::CompiledQuery::slot`]).
+    pub fn values(&self) -> &[Value] {
+        &self.values
     }
 
     /// Number of bound variables.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.values.len()
     }
 
     /// True when nothing is bound.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.values.is_empty()
     }
 
     /// Iterates `(var, value)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&Symbol, &Value)> {
-        self.map.iter()
+        self.vars.iter().zip(self.values.iter())
     }
 
     /// Applies the binding to a term; unbound variables return `None`.
     pub fn eval_term(&self, t: &Term) -> Option<Value> {
         match t {
             Term::Const(c) => Some(c.clone()),
-            Term::Var(v) => self.map.get(v).cloned(),
+            Term::Var(v) => self.get(v).cloned(),
         }
     }
 
     /// Projects the binding onto a list of variables, in order.
     /// Returns `None` if any variable is unbound.
     pub fn project(&self, vars: &[Symbol]) -> Option<Tuple> {
-        vars.iter()
-            .map(|v| self.map.get(v).cloned())
-            .collect::<Option<Vec<Value>>>()
-            .map(Tuple::new)
+        vars.iter().map(|v| self.get(v).cloned()).collect()
+    }
+}
+
+impl PartialEq for Binding {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Binding {}
+
+impl PartialOrd for Binding {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Binding {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if Arc::ptr_eq(&self.vars, &other.vars) {
+            self.values.cmp(&other.values)
+        } else {
+            self.iter().cmp(other.iter())
+        }
+    }
+}
+
+impl fmt::Debug for Binding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -135,118 +176,7 @@ impl QueryAnswer {
 /// assert_eq!(answer.rows[0].bindings.len(), 1);
 /// ```
 pub fn evaluate(db: &Database, q: &ConjunctiveQuery) -> Result<QueryAnswer, StorageError> {
-    // Arity validation up front: clearer errors than empty results.
-    for atom in &q.body {
-        let rel = db.relation(atom.predicate.as_str())?;
-        if rel.schema().arity() != atom.arity() {
-            return Err(StorageError::QueryArityMismatch {
-                relation: atom.predicate.to_string(),
-                expected: rel.schema().arity(),
-                got: atom.arity(),
-            });
-        }
-    }
-
-    let mut bindings = vec![Binding::new()];
-    let mut remaining: Vec<usize> = (0..q.body.len()).collect();
-
-    while !remaining.is_empty() {
-        // Greedy choice: maximize bound terms, tie-break on relation size.
-        let (pick, _) = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, &ai)| {
-                let atom = &q.body[ai];
-                let bound = atom
-                    .terms
-                    .iter()
-                    .filter(|t| match t {
-                        Term::Const(_) => true,
-                        Term::Var(v) => bindings.first().is_some_and(|b| b.get(v).is_some()),
-                    })
-                    .count();
-                let size = db
-                    .relation(atom.predicate.as_str())
-                    .map(Relation::len)
-                    .unwrap_or(usize::MAX);
-                (i, (usize::MAX - bound, size))
-            })
-            .min_by_key(|&(_, k)| k)
-            .expect("remaining is non-empty");
-        let atom_idx = remaining.swap_remove(pick);
-        let atom = &q.body[atom_idx];
-        let rel = db.relation(atom.predicate.as_str())?;
-
-        let mut next = Vec::with_capacity(bindings.len());
-        for b in &bindings {
-            // Pick a probe column: a position whose term evaluates under b.
-            let probe = atom
-                .terms
-                .iter()
-                .enumerate()
-                .find_map(|(i, t)| b.eval_term(t).map(|v| (i, v)));
-            match probe {
-                Some((col, v)) => {
-                    for t in rel.lookup(col, &v) {
-                        if let Some(b2) = extend(b, atom, t) {
-                            next.push(b2);
-                        }
-                    }
-                }
-                None => {
-                    for t in rel.scan() {
-                        if let Some(b2) = extend(b, atom, t) {
-                            next.push(b2);
-                        }
-                    }
-                }
-            }
-        }
-        bindings = next;
-        if bindings.is_empty() {
-            break;
-        }
-    }
-
-    // Project and group by output tuple.
-    let mut grouped: BTreeMap<Tuple, Vec<Binding>> = BTreeMap::new();
-    for b in bindings {
-        let out: Option<Vec<Value>> = q.head.terms.iter().map(|t| b.eval_term(t)).collect();
-        let out = out.expect("safe query: every head var is bound by the body");
-        grouped.entry(Tuple::new(out)).or_default().push(b);
-    }
-    let rows = grouped
-        .into_iter()
-        .map(|(tuple, mut bindings)| {
-            bindings.sort();
-            bindings.dedup();
-            AnswerRow { tuple, bindings }
-        })
-        .collect();
-    Ok(QueryAnswer { rows })
-}
-
-/// Tries to extend binding `b` so that `atom` matches stored tuple `t`.
-fn extend(b: &Binding, atom: &citesys_cq::Atom, t: &Tuple) -> Option<Binding> {
-    let mut out = b.clone();
-    for (term, v) in atom.terms.iter().zip(t.values()) {
-        match term {
-            Term::Const(c) => {
-                if c != v {
-                    return None;
-                }
-            }
-            Term::Var(var) => match out.get(var) {
-                Some(bound) => {
-                    if bound != v {
-                        return None;
-                    }
-                }
-                None => out.bind(var.clone(), v.clone()),
-            },
-        }
-    }
-    Some(out)
+    Ok(CompiledQuery::compile(db, q)?.run())
 }
 
 #[cfg(test)]
@@ -432,6 +362,19 @@ mod tests {
         let p = b.project(&[Symbol::new("FID")]).unwrap();
         assert_eq!(p.arity(), 1);
         assert!(b.project(&[Symbol::new("Missing")]).is_none());
+    }
+
+    #[test]
+    fn bindings_share_one_variable_table() {
+        let db = paper_db();
+        let q = parse_query("Q(PName) :- Committee(FID, PName), FamilyIntro(F2, T)").unwrap();
+        let a = evaluate(&db, &q).unwrap();
+        let first = &a.rows[0].bindings[0];
+        let vars: Vec<&str> = first.iter().map(|(v, _)| v.as_str()).collect();
+        assert_eq!(vars, ["F2", "FID", "PName", "T"]);
+        for b in a.rows.iter().flat_map(|r| &r.bindings) {
+            assert!(Arc::ptr_eq(&b.vars, &first.vars));
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * set-semantics relations with per-column hash indexes,
 //! * a conjunctive-query evaluator that reports **every binding** per
 //!   output tuple ([`eval`]) — the input to the paper's Definitions
-//!   2.1/2.2,
+//!   2.1/2.2 — run as a compiled plan over flat slot rows ([`plan`]),
 //! * semi-naive delta rules for maintaining materialized views under
 //!   single-tuple updates ([`delta`]),
 //! * multi-version storage with snapshots for **fixity** ([`versioned`]),
@@ -43,6 +43,7 @@ pub mod durability;
 pub mod error;
 pub mod eval;
 pub mod fixity;
+pub mod plan;
 pub mod relation;
 pub mod schema;
 pub mod tuple;

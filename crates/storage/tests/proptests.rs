@@ -1,6 +1,8 @@
 //! Property-based tests for the storage layer.
 
-use citesys_cq::{parse_query, Value, ValueType};
+use std::collections::{BTreeMap, BTreeSet};
+
+use citesys_cq::{parse_query, Atom, ConjunctiveQuery, Symbol, Term, Value, ValueType};
 use citesys_storage::{
     digest_database, evaluate, sha256, Database, RelationSchema, Sha256, Tuple, VersionedDatabase,
 };
@@ -17,6 +19,109 @@ fn small_tuple() -> impl Strategy<Value = Tuple> {
 /// A mutation script: true = insert, false = delete.
 fn script() -> impl Strategy<Value = Vec<(bool, Tuple)>> {
     prop::collection::vec((any::<bool>(), small_tuple()), 0..60)
+}
+
+/// The relations of the differential test: name, column types.
+const REL: [(&str, &[ValueType]); 3] = [
+    ("R", &[ValueType::Int, ValueType::Int]),
+    ("S", &[ValueType::Int, ValueType::Int, ValueType::Int]),
+    ("T", &[ValueType::Int, ValueType::Text]),
+];
+
+/// Variable names whose `Symbol` order differs from first-use order.
+const VARS: [&str; 4] = ["Z", "B", "X", "A"];
+
+/// A value of `ty` from a small domain, so that joins and constants hit.
+fn value(ty: ValueType, pick: u8) -> Value {
+    match ty {
+        ValueType::Text => Value::text(["a", "b", "c"][usize::from(pick % 3)]),
+        _ => Value::Int(i64::from(pick % 3)),
+    }
+}
+
+/// A term drawn from `pick`: one of the four variables or a constant.
+fn term(ty: ValueType, pick: u8) -> Term {
+    match pick {
+        0..=3 => Term::Var(Symbol::new(VARS[usize::from(pick)])),
+        _ => Term::Const(value(ty, pick)),
+    }
+}
+
+/// A random CQ over [`REL`]: `atoms` is (relation, term picks) per body
+/// atom; `head` picks the head terms among the body's variables and
+/// constants, so the query is always safe.
+fn random_query(atoms: &[(usize, Vec<u8>)], head: &[u8]) -> ConjunctiveQuery {
+    let body: Vec<Atom> = atoms
+        .iter()
+        .map(|(rel, picks)| {
+            let (name, types) = REL[*rel];
+            Atom::new(
+                name,
+                types
+                    .iter()
+                    .zip(picks)
+                    .map(|(&ty, &p)| term(ty, p))
+                    .collect(),
+            )
+        })
+        .collect();
+    let body_vars: Vec<&Symbol> = body.iter().flat_map(Atom::vars).collect();
+    let head = head
+        .iter()
+        .map(|&pick| match body_vars.get(usize::from(pick)) {
+            Some(v) => Term::Var((*v).clone()),
+            None => Term::Const(value(ValueType::Int, pick)),
+        })
+        .collect();
+    ConjunctiveQuery::new(Atom::new("Q", head), body, Vec::new()).unwrap()
+}
+
+/// One answer row as plain data: the tuple, then each binding as its
+/// `(variable, value)` list, in the order the evaluator reports them.
+type PlainRow = (Tuple, Vec<Vec<(String, Value)>>);
+
+/// The answer by nested loops over every combination of stored tuples:
+/// bindings as maps, rows grouped and ordered by a `BTreeMap`.
+fn nested_loops(db: &Database, q: &ConjunctiveQuery) -> Vec<PlainRow> {
+    let mut bindings = vec![BTreeMap::<String, Value>::new()];
+    for atom in &q.body {
+        let rel = db.relation(atom.predicate.as_str()).unwrap();
+        let mut next = Vec::new();
+        for b in &bindings {
+            'tuple: for t in rel.scan() {
+                let mut b = b.clone();
+                for (term, v) in atom.terms.iter().zip(t.values()) {
+                    let fits = match term {
+                        Term::Const(c) => c == v,
+                        Term::Var(x) => b.entry(x.to_string()).or_insert_with(|| v.clone()) == v,
+                    };
+                    if !fits {
+                        continue 'tuple;
+                    }
+                }
+                next.push(b);
+            }
+        }
+        bindings = next;
+    }
+    let mut rows: BTreeMap<Tuple, BTreeSet<Vec<(String, Value)>>> = BTreeMap::new();
+    for b in bindings {
+        let tuple = q
+            .head
+            .terms
+            .iter()
+            .map(|t| match t {
+                Term::Const(c) => c.clone(),
+                Term::Var(x) => b[x.as_str()].clone(),
+            })
+            .collect();
+        rows.entry(tuple)
+            .or_default()
+            .insert(b.into_iter().collect());
+    }
+    rows.into_iter()
+        .map(|(t, bs)| (t, bs.into_iter().collect()))
+        .collect()
 }
 
 proptest! {
@@ -291,5 +396,53 @@ proptest! {
                 prop_assert_eq!(mat, &materialize(&db, v), "view {} diverged", v.name());
             }
         }
+    }
+
+    /// `evaluate` gives exactly the nested-loop answer — the same tuples
+    /// in the same order, each with the same bindings in the same order —
+    /// for random CQs: constants, repeated variables, cross products,
+    /// constant heads and the empty body.
+    #[test]
+    fn evaluate_matches_nested_loops(
+        rows in (
+            prop::collection::vec((0u8..6, 0u8..6), 0..8),
+            prop::collection::vec((0u8..6, 0u8..6, 0u8..6), 0..8),
+            prop::collection::vec((0u8..6, 0u8..6), 0..8),
+        ),
+        atoms in prop::collection::vec((0usize..3, prop::collection::vec(0u8..7, 3..4)), 0..4),
+        head in prop::collection::vec(0u8..9, 0..4),
+    ) {
+        let mut db = Database::new();
+        for (name, types) in REL {
+            let attrs: Vec<(String, ValueType)> =
+                types.iter().enumerate().map(|(i, &ty)| (format!("C{i}"), ty)).collect();
+            let attrs: Vec<(&str, ValueType)> =
+                attrs.iter().map(|(a, ty)| (a.as_str(), *ty)).collect();
+            db.create_relation(RelationSchema::from_parts(name, &attrs, &[])).unwrap();
+        }
+        let (r, s, t) = rows;
+        let ints = |picks: &[u8]| Tuple::new(picks.iter().map(|&p| value(ValueType::Int, p)).collect::<Vec<_>>());
+        for (a, b) in r {
+            db.insert("R", ints(&[a, b])).unwrap();
+        }
+        for (a, b, c) in s {
+            db.insert("S", ints(&[a, b, c])).unwrap();
+        }
+        for (a, b) in t {
+            db.insert("T", Tuple::new(vec![value(ValueType::Int, a), value(ValueType::Text, b)])).unwrap();
+        }
+        let q = random_query(&atoms, &head);
+        let got: Vec<PlainRow> = evaluate(&db, &q)
+            .unwrap()
+            .rows
+            .into_iter()
+            .map(|row| {
+                let bindings = row.bindings.iter().map(|b| {
+                    b.iter().map(|(v, x)| (v.to_string(), x.clone())).collect()
+                });
+                (row.tuple, bindings.collect())
+            })
+            .collect();
+        prop_assert_eq!(got, nested_loops(&db, &q), "query {}", q);
     }
 }
