@@ -23,7 +23,6 @@
 //! rewrite plans and materialized views across calls over the free
 //! functions in this module.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -38,7 +37,7 @@ use crate::policy::{
     atoms_for_tuple, choose_rewriting, AggPolicy, JointPolicy, PolicySet, RewritingChoice,
 };
 use crate::registry::CitationRegistry;
-use crate::snippet::{CitationQuery, CitationSnippet};
+use crate::snippet::CitationSnippet;
 
 /// How the engine handles multiple rewritings.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -471,16 +470,17 @@ pub(crate) fn cite_selected(
         }
     };
 
-    let mut snippets = Snippets::new(db, registry, options, &atoms);
+    let mut rendered: Vec<Option<Arc<CitationSnippet>>> = vec![None; atoms.len()];
     let mut resolve = |id: AtomId| atoms[id as usize].clone();
     let mut tuples = Vec::with_capacity(answer.rows.len());
     for (row, branches) in answer.rows.iter().zip(matrix) {
         let ids = atoms_for_tuple(&options.policies, &branches, choice);
+        let snippets = render_atoms(db, registry, options, &ids, &atoms, &mut rendered)?;
         tuples.push(TupleCitation {
             tuple: row.tuple.clone(),
             branches: branches.into_iter().map(|b| b.map(&mut resolve)).collect(),
-            snippets: snippets.for_ids(&ids)?,
             atoms: ids.into_iter().map(resolve).collect(),
+            snippets,
         });
     }
 
@@ -488,8 +488,11 @@ pub(crate) fn cite_selected(
         AggPolicy::PerTupleOnly => None,
         AggPolicy::Union => {
             // The atoms some tuple cites are exactly the rendered ones.
-            let ids = snippets.rendered_ids();
-            let snippets = snippets.for_ids(&ids)?;
+            let ids: BTreeSet<AtomId> = (0..)
+                .zip(&rendered)
+                .filter_map(|(id, s)| s.is_some().then_some(id))
+                .collect();
+            let snippets = render_atoms(db, registry, options, &ids, &atoms, &mut rendered)?;
             Some(AggregateCitation {
                 atoms: ids.into_iter().map(resolve).collect(),
                 snippets,
@@ -548,104 +551,60 @@ pub(crate) fn cite_uncached(
     )
 }
 
-/// The snippets of one cite's atoms. Each atom is rendered once, on first
-/// use, and its snippet shared from then on. Each view's citation queries
-/// are compiled once per cite, with the view's λ-variables as inputs, and
-/// run at each atom's parameter values.
-struct Snippets<'a> {
-    db: &'a Database,
-    registry: &'a CitationRegistry,
-    options: &'a EngineOptions,
-    atoms: &'a [CiteAtom],
-    rendered: Vec<Option<Arc<CitationSnippet>>>,
-    /// Per view, its citation queries' compiled plans.
-    plans: HashMap<&'a Symbol, Vec<CompiledQuery<'a>>>,
-}
-
-impl<'a> Snippets<'a> {
-    fn new(
-        db: &'a Database,
-        registry: &'a CitationRegistry,
-        options: &'a EngineOptions,
-        atoms: &'a [CiteAtom],
-    ) -> Self {
-        Snippets {
-            db,
-            registry,
-            options,
-            atoms,
-            rendered: vec![None; atoms.len()],
-            plans: HashMap::new(),
-        }
-    }
-
-    /// The ids of the atoms rendered so far, in order.
-    fn rendered_ids(&self) -> BTreeSet<AtomId> {
-        (0..)
-            .zip(&self.rendered)
-            .filter_map(|(id, s)| s.is_some().then_some(id))
-            .collect()
-    }
-
-    /// The snippets for a set of atom ids under the joint policy.
-    fn for_ids(&mut self, ids: &BTreeSet<AtomId>) -> Result<Vec<Arc<CitationSnippet>>, CiteError> {
-        let mut snippets = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let snippet = match &self.rendered[id as usize] {
-                Some(hit) => Arc::clone(hit),
-                None => {
-                    let snippet = Arc::new(self.render(&self.atoms[id as usize])?);
-                    Arc::clone(self.rendered[id as usize].insert(snippet))
-                }
-            };
-            snippets.push(snippet);
-        }
-        if self.options.policies.joint == JointPolicy::Join && snippets.len() > 1 {
-            let mut merged = CitationSnippet::clone(&snippets[0]);
-            for s in &snippets[1..] {
-                merged.absorb(s);
-            }
-            merged.view = Symbol::new("joined");
-            merged.params = Vec::new();
-            snippets = vec![Arc::new(merged)];
-        }
-        Ok(snippets)
-    }
-
-    /// Runs the atom's view's citation queries at the atom's parameter
-    /// values and renders the snippet.
-    fn render(&mut self, atom: &CiteAtom) -> Result<CitationSnippet, CiteError> {
-        let cv =
-            self.registry
-                .get(atom.view.as_str())
-                .ok_or_else(|| CiteError::BadCitationView {
-                    view: atom.view.to_string(),
-                    reason: "atom references unregistered view".to_string(),
-                })?;
-        let db = self.db;
-        let plans = match self.plans.entry(cv.view.name()) {
-            Entry::Occupied(hit) => hit.into_mut(),
-            Entry::Vacant(slot) => {
-                let compile = |cq: &'a CitationQuery| {
-                    CompiledQuery::compile_with_inputs(db, &cq.query, &cq.query.params)
-                };
-                let plans = cv.citation_queries.iter().map(compile);
-                slot.insert(plans.collect::<Result<_, _>>()?)
+/// The snippets for a set of atom ids under the joint policy. Each atom is
+/// rendered on first use and its snippet shared from then on.
+fn render_atoms(
+    db: &Database,
+    registry: &CitationRegistry,
+    options: &EngineOptions,
+    ids: &BTreeSet<AtomId>,
+    atoms: &[CiteAtom],
+    rendered: &mut [Option<Arc<CitationSnippet>>],
+) -> Result<Vec<Arc<CitationSnippet>>, CiteError> {
+    let mut snippets = Vec::with_capacity(ids.len());
+    for &id in ids {
+        let slot = &mut rendered[id as usize];
+        let snippet = match slot {
+            Some(hit) => Arc::clone(hit),
+            None => {
+                Arc::clone(slot.insert(Arc::new(render_atom(db, registry, &atoms[id as usize])?)))
             }
         };
-        // The atom holds one value per λ-variable (the interner took them
-        // from the view's parameter positions), and the registry checked
-        // that every citation query has the view's λ-variables.
-        let answers: Vec<(&[String], QueryAnswer)> = cv
-            .citation_queries
-            .iter()
-            .zip(plans.iter())
-            .map(|(cq, plan)| (cq.fields.as_slice(), plan.run_with(&atom.params)))
-            .collect();
-        let borrowed: Vec<(&[String], &QueryAnswer)> =
-            answers.iter().map(|(f, a)| (*f, a)).collect();
-        Ok(cv.function.render(&atom.view, &atom.params, &borrowed))
+        snippets.push(snippet);
     }
+    if options.policies.joint == JointPolicy::Join && snippets.len() > 1 {
+        let mut merged = CitationSnippet::clone(&snippets[0]);
+        for s in &snippets[1..] {
+            merged.absorb(s);
+        }
+        merged.view = Symbol::new("joined");
+        merged.params = Vec::new();
+        snippets = vec![Arc::new(merged)];
+    }
+    Ok(snippets)
+}
+
+/// Instantiates and evaluates one view's citation queries at the atom's
+/// parameter values and renders the snippet.
+fn render_atom(
+    db: &Database,
+    registry: &CitationRegistry,
+    atom: &CiteAtom,
+) -> Result<CitationSnippet, CiteError> {
+    let cv = registry
+        .get(atom.view.as_str())
+        .ok_or_else(|| CiteError::BadCitationView {
+            view: atom.view.to_string(),
+            reason: "atom references unregistered view".to_string(),
+        })?;
+    let mut answers: Vec<(&[String], QueryAnswer)> = Vec::new();
+    for cq in &cv.citation_queries {
+        let inst = cq.query.instantiate(&atom.params)?;
+        let ans = evaluate(db, &inst)?;
+        answers.push((cq.fields.as_slice(), ans));
+    }
+    let borrowed: Vec<(&[String], &QueryAnswer)> = answers.iter().map(|(f, a)| (*f, a)).collect();
+    Ok(cv.function.render(&atom.view, &atom.params, &borrowed))
 }
 
 /// Schema-level citation-size estimate of a rewriting (no data access

@@ -376,39 +376,58 @@ fn parse_optional_quoted(s: &str, usage: &str) -> Result<Option<String>, ParseEr
     }
 }
 
-/// The `|`-separated clauses of a `view` or `cite` line. The leading rule
-/// and each `cite <rule>` clause end at the first `|` outside quoted
-/// strings, so `'x|y'` stays one constant. Bare clauses (`static k=v` and
-/// the cite options) end at the next `|` whatever they hold, so
+/// A cursor over the `|`-separated clauses of a `view` or `cite` line.
+/// The parser takes each clause as the kind it expects there: a rule
+/// ends at the first `|` outside quoted strings, so `'x|y'` stays one
+/// constant; a bare clause ends at the next `|` whatever it holds, so
 /// `static who=Bob's` keeps its apostrophe.
-fn clauses(line: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut rest = line.trim_start();
-    loop {
-        let end = if out.is_empty() || rest.starts_with("cite ") {
-            find_unquoted(rest, b'|')
-        } else {
-            rest.find('|')
+struct Clauses<'a>(Option<&'a str>);
+
+impl<'a> Clauses<'a> {
+    /// Takes the next clause as a rule.
+    fn rule(&mut self) -> Option<&'a str> {
+        self.take(|s| find_unquoted(s, b'|'))
+    }
+
+    /// Takes the next clause as a rule if it starts with `keyword` and a
+    /// space; returns the rule after them.
+    fn keyword_rule(&mut self, keyword: &str) -> Option<&'a str> {
+        let rest = self.0?.trim_start().strip_prefix(keyword)?;
+        if !rest.starts_with(' ') {
+            return None;
+        }
+        self.0 = Some(rest);
+        self.rule()
+    }
+
+    /// Takes the next clause as a bare one.
+    fn bare(&mut self) -> Option<&'a str> {
+        self.take(|s| s.find('|'))
+    }
+
+    /// Takes the next clause, ending at the `|` that `end` finds (the end
+    /// of the line if none); `None` once the line is used up.
+    fn take(&mut self, end: impl Fn(&str) -> Option<usize>) -> Option<&'a str> {
+        let rest = self.0?;
+        let (clause, next) = match end(rest) {
+            Some(i) => (&rest[..i], Some(&rest[i + 1..])),
+            None => (rest, None),
         };
-        let Some(i) = end else {
-            out.push(rest.trim());
-            return out;
-        };
-        out.push(rest[..i].trim());
-        rest = rest[i + 1..].trim_start();
+        self.0 = next;
+        Some(clause.trim())
     }
 }
 
 // view <rule> | cite <rule> [| cite <rule>] [| static k=v]...
 fn parse_view(rest: &str) -> Result<ViewSpec, ParseError> {
-    let mut parts = clauses(rest).into_iter();
-    let view_rule = parts.next().ok_or_else(|| perr("missing view rule"))?;
+    let mut clauses = Clauses(Some(rest));
+    let view_rule = clauses.rule().ok_or_else(|| perr("missing view rule"))?;
     let view = parse_query(view_rule).map_err(|e| perr(e.to_string()))?;
     let mut cites = Vec::new();
     let mut function = CitationFunction::new();
-    for part in parts {
-        if let Some(rule) = part.strip_prefix("cite ") {
-            let q = parse_query(rule.trim()).map_err(|e| perr(e.to_string()))?;
+    loop {
+        if let Some(rule) = clauses.keyword_rule("cite") {
+            let q = parse_query(rule).map_err(|e| perr(e.to_string()))?;
             // Constant single-column citation queries (the paper's CV2
             // pattern) get the friendlier field name "citation".
             let cq = if q.is_constant() && q.arity() == 1 {
@@ -417,7 +436,10 @@ fn parse_view(rest: &str) -> Result<ViewSpec, ParseError> {
                 CitationQuery::new(q)
             };
             cites.push(cq);
-        } else if let Some(kv) = part.strip_prefix("static ") {
+            continue;
+        }
+        let Some(part) = clauses.bare() else { break };
+        if let Some(kv) = part.strip_prefix("static ") {
             let (k, v) = kv
                 .split_once('=')
                 .ok_or_else(|| perr(format!("static '{kv}' lacks '='")))?;
@@ -464,8 +486,8 @@ fn split_as_of(rule: &str) -> Result<(&str, Option<u64>), ParseError> {
 
 // cite <rule> [@ <version>] [| format f] [| mode m] [| policy p] [| partial]
 fn parse_cite(rest: &str) -> Result<CiteSpec, ParseError> {
-    let mut parts = clauses(rest).into_iter();
-    let rule = parts.next().ok_or_else(|| perr("missing query"))?;
+    let mut clauses = Clauses(Some(rest));
+    let rule = clauses.rule().ok_or_else(|| perr("missing query"))?;
     let (rule, as_of) = split_as_of(rule)?;
     let query = parse_query(rule).map_err(|e| perr(e.to_string()))?;
     let mut format = CitationFormat::Text;
@@ -473,7 +495,7 @@ fn parse_cite(rest: &str) -> Result<CiteSpec, ParseError> {
         mode: CitationMode::Formal,
         ..Default::default()
     };
-    for part in parts {
+    while let Some(part) = clauses.bare() {
         match part.split_once(' ').map(|(a, b)| (a, b.trim())) {
             Some(("format", f)) => {
                 format = match f {
@@ -1246,12 +1268,17 @@ mod tests {
         assert_eq!(spec.cites.len(), 1);
         assert_eq!(spec.function.static_fields["who"], "Bob's");
         assert_eq!(spec.function.static_fields["db"], "G");
-        assert_eq!(
-            clauses("Q(A) :- R(A) | mode pruned | partial"),
-            ["Q(A) :- R(A)", "mode pruned", "partial"]
-        );
+        let mut clauses = Clauses(Some(" Q(A) :- R(A, 'a|b') | mode pruned|partial "));
+        assert_eq!(clauses.rule(), Some("Q(A) :- R(A, 'a|b')"));
+        assert_eq!(clauses.keyword_rule("cite"), None, "not a cite clause");
+        assert_eq!(clauses.bare(), Some("mode pruned"));
+        assert_eq!(clauses.bare(), Some("partial"));
+        assert_eq!(clauses.bare(), None);
         // An unterminated string runs to the end; the query parser rejects it.
-        assert_eq!(clauses("Q(A) :- R('a|b"), ["Q(A) :- R('a|b"]);
+        assert_eq!(
+            Clauses(Some("Q(A) :- R('a|b")).rule(),
+            Some("Q(A) :- R('a|b")
+        );
         assert!(parse_command("cite Q(A) :- R('a|b").is_err());
     }
 

@@ -64,15 +64,13 @@ static UNBOUND: Value = Value::Bool(false);
 /// ```
 #[derive(Debug)]
 pub struct CompiledQuery<'a> {
-    /// The variables (the body's and the inputs') in `Symbol` order; a
-    /// variable's slot is its index here.
+    /// The body's variables in `Symbol` order; a variable's slot is its
+    /// index here.
     vars: Vec<&'a Symbol>,
     /// The join steps, in the order they run.
     steps: Vec<Step<'a>>,
-    /// All ops: the inputs' binds, each body atom's ops, then the head.
+    /// All ops: each body atom's ops, then the head's.
     ops: Vec<Op<'a>>,
-    /// How many input variables there are: `ops[..inputs]` bind them.
-    inputs: usize,
     /// Where the head starts: `ops[head..]` are the head terms.
     head: usize,
 }
@@ -93,7 +91,7 @@ struct Step<'a> {
 enum Op<'a> {
     /// The value is this constant.
     Const(&'a Value),
-    /// The value is the slot's, bound by an input or an earlier step.
+    /// The value is the slot's, bound by an earlier step.
     Bound(usize),
     /// The value must equal the one at this earlier position of the atom.
     Repeat(usize),
@@ -125,41 +123,28 @@ impl<'a> Op<'a> {
     }
 }
 
-/// True when one of the first `inputs` ops or a `placed` step binds `slot`.
-fn bound_by(ops: &[Op<'_>], inputs: usize, placed: &[Step<'_>], slot: usize) -> bool {
-    let placed = placed.iter().flat_map(|st| &ops[st.ops.clone()]);
-    ops[..inputs].iter().chain(placed).any(|op| op.binds(slot))
+/// True when a `placed` step binds `slot`.
+fn bound_by(ops: &[Op<'_>], placed: &[Step<'_>], slot: usize) -> bool {
+    placed
+        .iter()
+        .flat_map(|st| &ops[st.ops.clone()])
+        .any(|op| op.binds(slot))
 }
 
 impl<'a> CompiledQuery<'a> {
     /// Compiles `q` against `db`: checks every body atom's relation and
     /// arity, numbers the variables and fixes the join order.
     pub fn compile(db: &'a Database, q: &'a ConjunctiveQuery) -> Result<Self, StorageError> {
-        Self::compile_with_inputs(db, q, &[])
-    }
-
-    /// Compiles `q` with the variables `inputs` bound before the first
-    /// join step, to values given per run ([`CompiledQuery::run_with`]).
-    /// A run answers `q` with those values substituted for the inputs —
-    /// the answer of [`ConjunctiveQuery::instantiate`] then evaluate, with
-    /// the same join order — except that every binding also holds the
-    /// inputs. One plan then serves every valuation of a λ-query.
-    pub fn compile_with_inputs(
-        db: &'a Database,
-        q: &'a ConjunctiveQuery,
-        inputs: &'a [Symbol],
-    ) -> Result<Self, StorageError> {
         let arity: usize = q.body.iter().map(Atom::arity).sum();
-        let mut vars: Vec<&Symbol> = Vec::with_capacity(inputs.len() + arity);
-        vars.extend(inputs.iter().chain(q.body.iter().flat_map(Atom::vars)));
+        let mut vars: Vec<&Symbol> = Vec::with_capacity(arity);
+        vars.extend(q.body.iter().flat_map(Atom::vars));
         vars.sort_unstable();
         vars.dedup();
         let slot = |v: &Symbol| vars.binary_search(&v).expect("every variable has a slot");
 
         // Each atom's ops start out as if the atom ran first: constants and
         // binds. Placing the atom fixes them up.
-        let mut ops = Vec::with_capacity(inputs.len() + arity + q.head.arity());
-        ops.extend(inputs.iter().map(|v| Op::Bind(slot(v))));
+        let mut ops = Vec::with_capacity(arity + q.head.arity());
         let mut steps = Vec::with_capacity(q.body.len());
         for atom in &q.body {
             let rel = db.relation(atom.predicate.as_str())?;
@@ -187,7 +172,6 @@ impl<'a> CompiledQuery<'a> {
         // pick to `steps[n - 1]`, so the rest keep the order
         // `Vec::swap_remove` would leave them in, and the placed steps
         // end up last to first.
-        let inputs = inputs.len();
         for n in (1..=steps.len()).rev() {
             let (pending, placed) = steps.split_at(n);
             let (pick, _) = pending
@@ -195,7 +179,7 @@ impl<'a> CompiledQuery<'a> {
                 .enumerate()
                 .map(|(i, st)| {
                     let fixed = ops[st.ops.clone()].iter().filter(|op| match op {
-                        Op::Bind(s) => bound_by(&ops, inputs, placed, *s),
+                        Op::Bind(s) => bound_by(&ops, placed, *s),
                         _ => true,
                     });
                     (i, (usize::MAX - fixed.count(), st.rel.len()))
@@ -207,7 +191,7 @@ impl<'a> CompiledQuery<'a> {
             let start = chosen.ops.start;
             for pos in chosen.ops.clone() {
                 let Op::Bind(s) = ops[pos] else { continue };
-                if bound_by(&ops, inputs, placed, s) {
+                if bound_by(&ops, placed, s) {
                     ops[pos] = Op::Bound(s);
                 } else if let Some(first) = ops[start..pos].iter().position(|op| op.binds(s)) {
                     ops[pos] = Op::Repeat(first);
@@ -228,7 +212,6 @@ impl<'a> CompiledQuery<'a> {
             vars,
             steps,
             ops,
-            inputs,
             head,
         })
     }
@@ -242,24 +225,11 @@ impl<'a> CompiledQuery<'a> {
     /// Runs the plan: distinct output tuples in order, each with every
     /// binding that produced it, in order.
     pub fn run(&self) -> QueryAnswer {
-        self.run_with(&[])
-    }
-
-    /// Runs the plan with the input variables bound to `inputs`, in the
-    /// order [`CompiledQuery::compile_with_inputs`] took them. Panics on a
-    /// different number of values.
-    pub fn run_with(&self, inputs: &[Value]) -> QueryAnswer {
-        assert_eq!(inputs.len(), self.inputs, "one value per input variable");
         let width = self.vars.len();
-        // One row per partial binding, referring to stored values, the
-        // query's constants and the inputs: nothing is cloned before the
-        // final bindings. To start, the inputs' binding.
+        // One row per partial binding, referring to stored values and the
+        // query's constants: nothing is cloned before the final bindings.
+        // To start, the empty binding.
         let mut rows: Vec<&Value> = vec![&UNBOUND; width];
-        for (op, v) in self.ops.iter().zip(inputs) {
-            if let Op::Bind(s) = op {
-                rows[*s] = v;
-            }
-        }
         let mut count = 1;
         let mut next: Vec<&Value> = Vec::new();
         for step in &self.steps {
@@ -432,33 +402,6 @@ mod tests {
             [Op::Bind(0), Op::Repeat(0), Op::Bound(0)]
         ));
         assert!(plan.run().is_empty(), "R holds no (x, x)");
-    }
-
-    #[test]
-    fn inputs_answer_as_the_instantiated_query() {
-        let db = db();
-        let q = parse_query("λ Y. Q(Y, Z) :- R(X, Y), S(Y, Z)").unwrap();
-        let plan = CompiledQuery::compile_with_inputs(&db, &q, &q.params).unwrap();
-        for y in 0..4 {
-            let value = Value::Int(y);
-            let got = plan.run_with(std::slice::from_ref(&value));
-            let inst = q.instantiate(std::slice::from_ref(&value)).unwrap();
-            let want = crate::evaluate(&db, &inst).unwrap();
-            assert_eq!(
-                got.tuples().collect::<Vec<_>>(),
-                want.tuples().collect::<Vec<_>>()
-            );
-            // Each binding also holds the input.
-            for b in got.rows.iter().flat_map(|r| &r.bindings) {
-                assert_eq!(b.get(&Symbol::new("Y")), Some(&value));
-                assert_eq!(b.len(), 3);
-            }
-        }
-        // The input's positions count as bound: both atoms have one, so the
-        // smaller R goes first and is probed on the input's column.
-        assert_eq!(plan.steps[0].rel.len(), 2);
-        assert_eq!(plan.steps[0].probe, Some(1));
-        assert!(matches!(probe(&plan, 0), Some(Op::Bound(1))));
     }
 
     #[test]

@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
 # scripts/bench-trajectory.sh <parent-rev> [options]
 #
-# Benchmarks a change against its parent on this machine and writes one
-# trajectory record (a BENCH_*.json file): both revisions, the core
+# Benchmarks HEAD against a parent revision on this machine and writes
+# one trajectory record (a BENCH_*.json file): both revisions, the core
 # count, per side the median and spread of every metric of every
 # workload, the verdicts of benchmark/compare.sh, and one traced run per
 # side with its per-layer rows.
 #
-#   --head <rev>       the change (default HEAD)
-#   --pairs <n>        untraced runs per side, parent and change
-#                      alternating, each side first in every other pair
-#                      (default 10)
-#   --seconds <s>      measured seconds per workload (default 10)
-#   --seed <n>         dataset seed of every run (default 1, as run.sh)
-#   --workload <name>  one workload instead of all four
+# Every run is the benchmark's own command, `benchmark/run.sh` with its
+# defaults (all four workloads, seed 1, 10 s each), untraced in 10 pairs
+# (parent and HEAD alternating, each side first in every other pair),
+# then traced once per side.
+#
 #   --out <file>       the record (default BENCH.json)
 #   --scratch <dir>    where the two checkouts are unpacked and built
 #                      (default: a new temporary directory, removed after);
@@ -25,19 +23,14 @@
 # exactly what that revision holds. Only committed files are measured.
 set -euo pipefail
 
-usage() { sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 1 ] || usage
 parent_rev=$1
 shift
-head_rev=HEAD pairs=10 seconds=10 seed=1 workload=all out=BENCH.json scratch=""
+pairs=10 out=BENCH.json scratch=""
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case $1 in
-        --head) head_rev=$2 ;;
-        --pairs) pairs=$2 ;;
-        --seconds) seconds=$2 ;;
-        --seed) seed=$2 ;;
-        --workload) workload=$2 ;;
         --out) out=$2 ;;
         --scratch) scratch=$2 ;;
         *) usage ;;
@@ -47,7 +40,7 @@ done
 
 repo=$(git rev-parse --show-toplevel)
 parent=$(git -C "$repo" rev-parse --verify "$parent_rev^{commit}")
-head=$(git -C "$repo" rev-parse --verify "$head_rev^{commit}")
+head=$(git -C "$repo" rev-parse --verify "HEAD^{commit}")
 if [ -z "$scratch" ]; then
     scratch=$(mktemp -d)
     trap 'rm -rf "$scratch"' EXIT
@@ -71,8 +64,7 @@ done
 run() { # <side> <log> <run.sh args…>
     local side=$1 log=$2
     shift 2
-    CARGO_TARGET_DIR="$scratch/target-${!side}" bash "$scratch/$side/benchmark/run.sh" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" "$@" >>"$log" ||
+    CARGO_TARGET_DIR="$scratch/target-${!side}" bash "$scratch/$side/benchmark/run.sh" "$@" >>"$log" ||
         echo "bench-trajectory: a $side run reported failures" >&2
 }
 
@@ -95,10 +87,10 @@ compare="$scratch/compare.txt"
 bash "$scratch/head/benchmark/compare.sh" "$scratch/parent.jsonl" "$scratch/head.jsonl" \
     >"$compare" || true
 
-python3 - "$parent" "$head" "$(nproc)" "$pairs" "$seconds" "$seed" "$scratch" "$out" <<'PY'
+python3 - "$parent" "$head" "$(nproc)" "$pairs" "$scratch" "$out" <<'PY'
 import json, statistics, sys
 
-parent, head, cores, pairs, seconds, seed, scratch, out = sys.argv[1:]
+parent, head, cores, pairs, scratch, out = sys.argv[1:]
 
 
 def runs(path):
@@ -139,12 +131,13 @@ for line in open(f"{scratch}/compare.txt").read().splitlines()[1:]:
                      "head": number(b), "change": change, "parent_spread": spread,
                      "bound": bound, "verdict": verdict})
 
+first = runs(f"{scratch}/head.jsonl")[0]
 record = {
     "revisions": {"parent": parent, "head": head},
     "cores": int(cores),
     "pairs": int(pairs),
-    "seconds": float(seconds),
-    "seed": int(seed),
+    "seconds": float(first["seconds"]),
+    "seed": int(first["seed"]),
     "untraced": {"parent": summary(f"{scratch}/parent.jsonl"),
                  "head": summary(f"{scratch}/head.jsonl")},
     "compare": verdicts,
